@@ -23,6 +23,7 @@
 use crate::cell::{self, CellKey};
 use crate::emit::json_escape;
 use crate::generators;
+use crate::serve::protocol::Json;
 use crate::sweep::{self, SweepError};
 use localavg_core::algo::{registry, Exec, RunSpec, TranscriptPolicy, Workspace};
 use localavg_graph::Graph;
@@ -378,23 +379,6 @@ pub fn to_json(report: &BenchReport, baseline: Option<&BenchReport>) -> String {
     out
 }
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn field_raw(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..]
-        .find([',', '}'])
-        .map(|i| i + start)
-        .unwrap_or(line.len());
-    Some(line[start..end].trim().to_string())
-}
-
 /// Number of current cells with no key-matching baseline cell (and thus
 /// absent from [`to_json`]'s `speedups` section). The cell key includes
 /// the executor label (`"parallel/<threads>"`), so comparing runs made
@@ -473,13 +457,13 @@ pub fn tripwire(report: &BenchReport, pct: f64) -> Result<Vec<String>, String> {
 
 /// Parses the cells of a previously written `localavg-bench/v1` document.
 ///
-/// This is a line-based reader for our own fixed emitter format (one cell
-/// object per line), not a general JSON parser; it stops at the end of
-/// the top-level `"cells"` array, so a document that itself embeds a
-/// baseline round-trips to its *current* cells only. Returns `None` for
-/// text that does not carry the `localavg-bench/v1` schema marker or has
-/// no `"cells"` array — pointing `--baseline` at the wrong file must be
-/// an error, not an empty comparison.
+/// Reads the document with the workspace's one JSON reader
+/// ([`Json`]) and keeps only the top-level `"cells"`, so a document that
+/// itself embeds a baseline round-trips to its *current* cells only.
+/// Returns `None` for text that is not JSON, does not carry the
+/// `localavg-bench/v1` schema, or has no `"cells"` array — pointing
+/// `--baseline` at the wrong file must be an error, not an empty
+/// comparison.
 ///
 /// Fields that predate the `v1` additions of this release (`total_ms`,
 /// `wall_ms`, the spec's `policy`/`reuse_workspace`, and the
@@ -488,87 +472,55 @@ pub fn tripwire(report: &BenchReport, pct: f64) -> Result<Vec<String>, String> {
 /// missing `total_ms` is reconstructed as `mean_ms * reps`, missing
 /// build-cost columns load as zero.
 pub fn parse_report(text: &str) -> Option<BenchReport> {
-    if !text.contains("\"schema\": \"localavg-bench/v1\"") {
+    let doc = Json::parse(text).ok()?;
+    if doc.get("schema")?.as_str()? != "localavg-bench/v1" {
         return None;
     }
-    let mut label = "unknown".to_string();
-    let mut policy = TranscriptPolicy::Full;
-    let mut reuse_workspace = false;
-    let mut wall_ms = 0.0;
-    let mut cells = Vec::new();
-    let mut in_cells = false;
-    let mut saw_cells = false;
-    for line in text.lines() {
-        let t = line.trim();
-        if !in_cells {
-            if t.starts_with("\"label\"") {
-                if let Some(l) = field_str(line, "label") {
-                    label = l;
-                }
-            }
-            if t.starts_with("\"spec\"") {
-                if let Some(p) = field_str(line, "policy").and_then(|p| TranscriptPolicy::parse(&p))
-                {
-                    policy = p;
-                }
-                if let Some(r) = field_raw(line, "reuse_workspace") {
-                    reuse_workspace = r == "true";
-                }
-            }
-            if t.starts_with("\"wall_ms\"") {
-                if let Some(w) = field_raw(line, "wall_ms").and_then(|w| w.parse().ok()) {
-                    wall_ms = w;
-                }
-            }
-            if t.starts_with("\"cells\"") {
-                in_cells = true;
-                saw_cells = true;
-            }
-            continue;
-        }
-        if t.starts_with(']') {
-            break;
-        }
-        let reps: usize = field_raw(line, "reps")?.parse().ok()?;
-        let mean_ms: f64 = field_raw(line, "mean_ms")?.parse().ok()?;
-        let total_ms = field_raw(line, "total_ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(mean_ms * reps as f64);
-        let cell = BenchCell {
-            algorithm: field_str(line, "algorithm")?,
-            generator: field_str(line, "generator")?,
-            n: field_raw(line, "n")?.parse().ok()?,
-            nodes: field_raw(line, "nodes")?.parse().ok()?,
-            edges: field_raw(line, "edges")?.parse().ok()?,
-            // Pre-v1-addition documents (BENCH_5 and earlier) carry no
-            // build-cost columns; they load with zeros.
-            graph_build_ms: field_raw(line, "graph_build_ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-            graph_bytes: field_raw(line, "graph_bytes")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            executor: field_str(line, "executor")?,
-            reps,
-            best_ms: field_raw(line, "best_ms")?.parse().ok()?,
-            mean_ms,
-            total_ms,
-            rounds: field_raw(line, "rounds")?.parse().ok()?,
-        };
-        cells.push(cell);
-    }
-    if !saw_cells {
-        return None;
-    }
+    let cells = doc.get("cells")?.as_array()?;
+    let spec = |key: &str| doc.get("spec").and_then(|s| s.get(key));
     Some(BenchReport {
         spec: BenchSpec {
-            label,
-            policy,
-            reuse_workspace,
+            label: doc
+                .get("label")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+            policy: spec("policy")
+                .and_then(Json::as_str)
+                .and_then(TranscriptPolicy::parse)
+                .unwrap_or(TranscriptPolicy::Full),
+            reuse_workspace: spec("reuse_workspace")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
             ..BenchSpec::default()
         },
-        cells,
-        wall_ms,
+        cells: cells.iter().map(parse_cell).collect::<Option<_>>()?,
+        wall_ms: doc.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+    })
+}
+
+/// One `cells` entry of a `localavg-bench/v1` document (see
+/// [`parse_report`] for the optional fields).
+fn parse_cell(c: &Json) -> Option<BenchCell> {
+    let text = |key: &str| c.get(key).and_then(Json::as_str).map(str::to_string);
+    let ms = |key: &str| c.get(key).and_then(Json::as_f64);
+    let count = |key: &str| c.get(key).and_then(Json::as_u64).map(|v| v as usize);
+    let reps = count("reps")?;
+    let mean_ms = ms("mean_ms")?;
+    Some(BenchCell {
+        algorithm: text("algorithm")?,
+        generator: text("generator")?,
+        n: count("n")?,
+        nodes: count("nodes")?,
+        edges: count("edges")?,
+        graph_build_ms: ms("graph_build_ms").unwrap_or(0.0),
+        graph_bytes: count("graph_bytes").unwrap_or(0),
+        executor: text("executor")?,
+        reps,
+        best_ms: ms("best_ms")?,
+        mean_ms,
+        total_ms: ms("total_ms").unwrap_or(mean_ms * reps as f64),
+        rounds: count("rounds")?,
     })
 }
 
@@ -723,6 +675,24 @@ mod tests {
         assert_eq!(parsed.wall_ms, 0.0);
         // total_ms reconstructed as mean * reps.
         assert!((parsed.cells[0].total_ms - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn committed_bench_artifacts_parse() {
+        for (text, cells) in [
+            (include_str!("../../../BENCH_3.json"), 12),
+            (include_str!("../../../BENCH_4.json"), 12),
+            (include_str!("../../../BENCH_5.json"), 16),
+            (include_str!("../../../BENCH_6.json"), 24),
+        ] {
+            let parsed = parse_report(text).expect("committed artifact parses");
+            assert_eq!(parsed.cells.len(), cells);
+            assert!(parsed.cells.iter().all(|c| c.reps > 0 && c.rounds > 0));
+            // A wrong schema is an error, not an empty comparison.
+            let other = text.replace("localavg-bench/v1", "localavg-sweep/v1");
+            assert!(parse_report(&other).is_none());
+        }
+        assert!(parse_report("{\"schema\": \"localavg-bench/v1\"}").is_none());
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! `sweep` runs the sharded parallel sweep engine (DESIGN.md §6) over a
 //! grid of registry algorithms × named graph families × sizes × seeds and
 //! emits machine-readable JSON or CSV; output bytes are independent of
-//! `--threads` (`0` = all available cores, like `SimConfig::threads`).
+//! `--threads` (`0` = all available cores, like `Exec::Parallel { threads: 0 }`).
 //!
 //! `gen` builds one named instance with the sweep's content-addressed
 //! seed and persists it as a `localavg-csr/v1` file (DESIGN.md §10);
@@ -375,7 +375,7 @@ fn run_sweep(args: &[String]) {
     spec.seeds = parse_usize(args, "--seeds", spec.seeds as usize) as u64;
     spec.master_seed = parse_usize(args, "--master-seed", spec.master_seed as usize) as u64;
     // `--threads 0` (and the flag's absence) mean "all available cores",
-    // mirroring `SimConfig::threads`.
+    // mirroring `Exec::Parallel { threads: 0 }`.
     let threads = cli::parse_threads(args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);

@@ -117,7 +117,7 @@ pub fn parse_policy(args: &[String]) -> Result<localavg_core::algo::TranscriptPo
 }
 
 /// Resolves a `--threads` value: `0` means "number of available cores",
-/// matching `SimConfig::threads`' convention; any other value is taken
+/// matching `Exec::Parallel { threads: 0 }`; any other value is taken
 /// literally.
 pub fn resolve_threads(raw: usize) -> usize {
     if raw == 0 {
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn threads_zero_means_available_cores() {
-        // `--threads 0` must behave like SimConfig::threads == 0: auto.
+        // `--threads 0` must behave like `Exec::Parallel { threads: 0 }`: auto.
         let a = args(&["--threads", "0"]);
         let t = parse_threads(&a).unwrap();
         assert!(t >= 1);

@@ -24,7 +24,8 @@
 //!
 //! The parser below is a deliberately small recursive-descent JSON
 //! reader (the workspace is std-only); it accepts exactly standard JSON
-//! and is shared by the server, the `exp submit` client, and the tests.
+//! and is shared by the server, the `exp submit` client, the
+//! `--baseline` reader of `exp bench-engine`, and the tests.
 
 use crate::cell::CellKey;
 use crate::emit::json_escape;

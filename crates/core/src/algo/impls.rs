@@ -1,10 +1,10 @@
 //! [`Algorithm`] implementations for every family in the workspace.
 //!
 //! Each implementation is a zero-sized unit struct wrapping the family
-//! module's `*_spec` entry point and converting its typed `*Run` into the
-//! unified [`AlgoRun`]. The family free functions (`mis::luby`,
-//! `ruling::two_two`, …) stay available for code that wants the typed
-//! outputs directly.
+//! module's one entry point (`*_spec`, or `orientation::deterministic_with`)
+//! and converting its typed `*Run` into the unified [`AlgoRun`]. Those
+//! entry points stay public for code that wants the typed outputs
+//! directly.
 //!
 //! Algorithms with tuning knobs declare them as [`ParamSpec`]s and
 //! validate string assignments in `set_param` — that is what

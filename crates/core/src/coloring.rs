@@ -1,12 +1,12 @@
 //! Distributed coloring (paper §1.2 context + deterministic subroutines).
 //!
-//! * [`random_trial`] — the classic (Δ+1)-coloring by random color trials
+//! * [`random_trial_spec`] — the classic (Δ+1)-coloring by random color trials
 //!   \[Lub93, Joh99\]: every uncolored node proposes a uniform color from
 //!   its remaining palette and keeps it if no neighbor proposed the same.
 //!   Every node succeeds with constant probability per attempt, so the
 //!   node-averaged complexity is O(1) (§1.2) while the worst case is
 //!   Θ(log n) whp — experiment E15 measures the separation.
-//! * [`linial`] — Linial's O(log* n)-round coloring with O(Δ² log² Δ)
+//! * [`linial_spec`] — Linial's O(log* n)-round coloring with O(Δ² log² Δ)
 //!   colors, used as the deterministic symmetry-breaking workhorse by the
 //!   ruling-set finisher and available standalone here.
 
@@ -127,30 +127,22 @@ impl Process for RandomTrial {
     }
 }
 
-/// Runs the randomized (Δ+1)-coloring by color trials.
+/// Runs the randomized (Δ+1)-coloring by color trials under `spec`, with
+/// tunable parameters and reusable [`Workspace`] arenas.
 ///
 /// # Example
 ///
 /// ```
+/// use localavg_core::algo::{RunSpec, Workspace};
+/// use localavg_core::coloring::{self, TrialColoringParams};
 /// use localavg_graph::{analysis, gen};
-/// use localavg_core::coloring;
 ///
 /// let g = gen::grid(6, 6);
-/// let run = coloring::random_trial(&g, 4);
+/// let params = TrialColoringParams::default();
+/// let run = coloring::random_trial_spec(&g, &RunSpec::new(4), &params, &mut Workspace::new());
 /// assert!(analysis::is_proper_coloring(&g, &run.colors));
 /// assert!(run.colors.iter().all(|&c| c <= g.max_degree()));
 /// ```
-pub fn random_trial(g: &Graph, seed: u64) -> ColoringRun {
-    random_trial_spec(
-        g,
-        &RunSpec::new(seed),
-        &TrialColoringParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`random_trial`] under an explicit [`RunSpec`], with tunable
-/// parameters and reusable [`Workspace`] arenas.
 pub fn random_trial_spec(
     g: &Graph,
     spec: &RunSpec,
@@ -164,17 +156,6 @@ pub fn random_trial_spec(
         transcript: t,
         colors,
     }
-}
-
-/// [`random_trial`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `random_trial_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn random_trial_exec(g: &Graph, seed: u64, exec: Exec) -> ColoringRun {
-    random_trial_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &TrialColoringParams::default(),
-        &mut Workspace::new(),
-    )
 }
 
 /// Messages of the Linial process: bare colors.
@@ -231,17 +212,12 @@ impl Process for LinialColoring {
     }
 }
 
-/// Runs Linial's deterministic O(log* n)-round coloring.
+/// Runs Linial's deterministic O(log* n)-round coloring under `spec`, with
+/// reusable [`Workspace`] arenas (the seed is ignored — deterministic).
 ///
 /// The palette size is O(Δ² log² Δ); the round count equals the length of
 /// [`linial_schedule`] — a log*-type schedule all nodes derive from
 /// `(n, Δ)`.
-pub fn linial(g: &Graph) -> ColoringRun {
-    linial_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`linial`] under an explicit [`RunSpec`] with reusable [`Workspace`]
-/// arenas (the seed is ignored — deterministic).
 pub fn linial_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> ColoringRun {
     let t = spec.run_in::<LinialColoring>(g, &(), ws);
     let colors: Vec<usize> = t.node_labels().iter().map(|&c| c as usize).collect();
@@ -250,12 +226,6 @@ pub fn linial_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> ColoringRun
         transcript: t,
         colors,
     }
-}
-
-/// [`linial`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `linial_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn linial_exec(g: &Graph, exec: Exec) -> ColoringRun {
-    linial_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 #[cfg(test)]
@@ -275,7 +245,12 @@ mod tests {
             gen::petersen(),
         ] {
             let delta = g.max_degree();
-            let run = random_trial(&g, 6);
+            let run = random_trial_spec(
+                &g,
+                &RunSpec::new(6),
+                &TrialColoringParams::default(),
+                &mut Workspace::new(),
+            );
             assert!(analysis::is_proper_coloring(&g, &run.colors));
             assert!(run.colors.iter().all(|&c| c <= delta));
         }
@@ -285,7 +260,12 @@ mod tests {
     fn random_trial_node_averaged_constant() {
         let mut rng = Rng::seed_from(3);
         let g = gen::random_regular(400, 8, &mut rng).unwrap();
-        let run = random_trial(&g, 10);
+        let run = random_trial_spec(
+            &g,
+            &RunSpec::new(10),
+            &TrialColoringParams::default(),
+            &mut Workspace::new(),
+        );
         let r = ComplexityReport::from_run(&g, &run.transcript);
         assert!(r.node_averaged < 12.0, "node avg {}", r.node_averaged);
     }
@@ -293,7 +273,7 @@ mod tests {
     #[test]
     fn linial_on_standard_graphs() {
         for g in [gen::cycle(64), gen::grid(8, 8), gen::petersen()] {
-            let run = linial(&g);
+            let run = linial_spec(&g, &RunSpec::new(0), &mut Workspace::new());
             assert!(analysis::is_proper_coloring(&g, &run.colors));
         }
     }
@@ -302,7 +282,7 @@ mod tests {
     fn linial_palette_much_smaller_than_n() {
         let mut rng = Rng::seed_from(5);
         let g = gen::random_regular(600, 4, &mut rng).unwrap();
-        let run = linial(&g);
+        let run = linial_spec(&g, &RunSpec::new(0), &mut Workspace::new());
         assert!(analysis::is_proper_coloring(&g, &run.colors));
         let max_color = *run.colors.iter().max().unwrap();
         assert!(
@@ -316,7 +296,10 @@ mod tests {
     #[test]
     fn linial_deterministic() {
         let g = gen::grid(6, 7);
-        assert_eq!(linial(&g).colors, linial(&g).colors);
+        assert_eq!(
+            linial_spec(&g, &RunSpec::new(0), &mut Workspace::new()).colors,
+            linial_spec(&g, &RunSpec::new(0), &mut Workspace::new()).colors
+        );
     }
 
     #[test]
@@ -333,14 +316,24 @@ mod tests {
         // Colors stay within the widened palette Δ+1+extra.
         assert!(run.colors.iter().all(|&c| c <= g.max_degree() + 8));
         // The widened palette changes the run (different proposals).
-        let default = random_trial(&g, 2);
+        let default = random_trial_spec(
+            &g,
+            &RunSpec::new(2),
+            &TrialColoringParams::default(),
+            &mut Workspace::new(),
+        );
         assert_ne!(run.colors, default.colors);
     }
 
     #[test]
     fn random_trial_empty_graph() {
         let g = Graph::empty(3);
-        let run = random_trial(&g, 1);
+        let run = random_trial_spec(
+            &g,
+            &RunSpec::new(1),
+            &TrialColoringParams::default(),
+            &mut Workspace::new(),
+        );
         assert_eq!(run.colors.len(), 3);
         assert!(run.transcript.node_commit_round.iter().all(|&r| r <= 1));
     }

@@ -1,11 +1,11 @@
 //! Maximal matching algorithms (paper §3.2, Theorems 4 and 5).
 //!
-//! * [`luby`] — **Theorem 4**: mark each edge `{u,v}` with probability
+//! * [`luby_spec`] — **Theorem 4**: mark each edge `{u,v}` with probability
 //!   `1/(4(d_u + d_v))`; a marked edge with no other marked incident edge
 //!   joins the matching; matched nodes leave; repeat. The paper shows a
 //!   constant fraction of the *edges* is removed per iteration, so the
 //!   edge-averaged complexity is O(1) while the worst case is O(log n) whp.
-//! * [`deterministic`] — **Theorem 5**: per iteration, build the fractional
+//! * [`deterministic_spec`] — **Theorem 5**: per iteration, build the fractional
 //!   matching `f_e = 1/(d_u + d_v)`, deterministically round it to an
 //!   integral matching carrying a constant fraction of `|E|`, add it, drop
 //!   matched nodes, and repeat. Rounding follows the Fischer/AKO technique:
@@ -16,7 +16,7 @@
 //!   fallback guarantees progress even when rounding stalls. (See DESIGN.md
 //!   for the substitution notes; the measured per-iteration edge-kill ratio
 //!   is reported by experiment E5.)
-//! * [`greedy`] — deterministic local-max-edge-id proposal matching
+//! * [`greedy_spec`] — deterministic local-max-edge-id proposal matching
 //!   (baseline).
 //!
 //! Matching is an *edge-labelling* problem: edges commit `true`/`false`,
@@ -224,30 +224,22 @@ impl Process for LubyMatching {
     }
 }
 
-/// Runs Theorem 4's randomized maximal matching (CONGEST).
+/// Runs Theorem 4's randomized maximal matching (CONGEST) under `spec`,
+/// with tunable parameters and reusable [`Workspace`] arenas.
 ///
 /// # Example
 ///
 /// ```
+/// use localavg_core::algo::{RunSpec, Workspace};
+/// use localavg_core::matching::{self, LubyMatchParams};
 /// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::matching;
 ///
 /// let mut rng = Rng::seed_from(8);
 /// let g = gen::random_regular(60, 4, &mut rng).expect("graph");
-/// let run = matching::luby(&g, 21);
+/// let params = LubyMatchParams::default();
+/// let run = matching::luby_spec(&g, &RunSpec::new(21), &params, &mut Workspace::new());
 /// assert!(analysis::is_maximal_matching(&g, &run.in_matching));
 /// ```
-pub fn luby(g: &Graph, seed: u64) -> MatchingRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed),
-        &LubyMatchParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`luby`] under an explicit [`RunSpec`], with tunable parameters and
-/// reusable [`Workspace`] arenas.
 pub fn luby_spec(
     g: &Graph,
     spec: &RunSpec,
@@ -256,17 +248,6 @@ pub fn luby_spec(
 ) -> MatchingRun {
     let t = spec.run_in::<LubyMatching>(g, params, ws);
     MatchingRun::from_transcript(g, t)
-}
-
-/// [`luby`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `luby_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn luby_exec(g: &Graph, seed: u64, exec: Exec) -> MatchingRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &LubyMatchParams::default(),
-        &mut Workspace::new(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -353,22 +334,12 @@ impl Process for GreedyMatching {
     }
 }
 
-/// Runs the deterministic greedy proposal matching (baseline).
-pub fn greedy(g: &Graph) -> MatchingRun {
-    greedy_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`greedy`] under an explicit [`RunSpec`] with reusable [`Workspace`]
-/// arenas (the seed is ignored — deterministic).
+/// Runs the deterministic greedy proposal matching (baseline) under
+/// `spec`, with reusable [`Workspace`] arenas (the seed is ignored —
+/// deterministic).
 pub fn greedy_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MatchingRun {
     let t = spec.run_in::<GreedyMatching>(g, &(), ws);
     MatchingRun::from_transcript(g, t)
-}
-
-/// [`greedy`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `greedy_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn greedy_exec(g: &Graph, exec: Exec) -> MatchingRun {
-    greedy_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,33 +978,23 @@ impl Process for DetMatching {
     }
 }
 
-/// Runs Theorem 5's deterministic maximal matching.
+/// Runs Theorem 5's deterministic maximal matching under `spec`, with
+/// reusable [`Workspace`] arenas (the seed is ignored — deterministic).
 ///
 /// # Example
 ///
 /// ```
-/// use localavg_graph::{analysis, gen};
+/// use localavg_core::algo::{RunSpec, Workspace};
 /// use localavg_core::matching;
+/// use localavg_graph::{analysis, gen};
 ///
 /// let g = gen::grid(5, 5);
-/// let run = matching::deterministic(&g);
+/// let run = matching::deterministic_spec(&g, &RunSpec::new(0), &mut Workspace::new());
 /// assert!(analysis::is_maximal_matching(&g, &run.in_matching));
 /// ```
-pub fn deterministic(g: &Graph) -> MatchingRun {
-    deterministic_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`deterministic`] under an explicit [`RunSpec`] with reusable
-/// [`Workspace`] arenas (the seed is ignored — deterministic).
 pub fn deterministic_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MatchingRun {
     let t = spec.run_in::<DetMatching>(g, &(), ws);
     MatchingRun::from_transcript(g, t)
-}
-
-/// [`deterministic`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `deterministic_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn deterministic_exec(g: &Graph, exec: Exec) -> MatchingRun {
-    deterministic_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 /// The fractional matching of Theorem 5's analysis: `f_e = 1/(d_u + d_v)`
@@ -1085,7 +1046,12 @@ mod tests {
             gen::grid(5, 7),
             gen::petersen(),
         ] {
-            let run = luby(&g, 3);
+            let run = luby_spec(
+                &g,
+                &RunSpec::new(3),
+                &LubyMatchParams::default(),
+                &mut Workspace::new(),
+            );
             check(&g, &run);
         }
     }
@@ -1095,7 +1061,12 @@ mod tests {
         for seed in 0..4 {
             let mut rng = Rng::seed_from(seed);
             let g = gen::gnp(100, 0.06, &mut rng);
-            let run = luby(&g, seed + 50);
+            let run = luby_spec(
+                &g,
+                &RunSpec::new(seed + 50),
+                &LubyMatchParams::default(),
+                &mut Workspace::new(),
+            );
             check(&g, &run);
         }
     }
@@ -1106,7 +1077,12 @@ mod tests {
         // average — matching labels live on edges).
         let mut rng = Rng::seed_from(7);
         let g = gen::random_regular(400, 8, &mut rng).unwrap();
-        let run = luby(&g, 5);
+        let run = luby_spec(
+            &g,
+            &RunSpec::new(5),
+            &LubyMatchParams::default(),
+            &mut Workspace::new(),
+        );
         check(&g, &run);
         let r = ComplexityReport::from_run(&g, &run.transcript);
         assert!(
@@ -1121,7 +1097,12 @@ mod tests {
     fn luby_is_congest() {
         let mut rng = Rng::seed_from(9);
         let g = gen::gnp(80, 0.1, &mut rng);
-        let run = luby(&g, 2);
+        let run = luby_spec(
+            &g,
+            &RunSpec::new(2),
+            &LubyMatchParams::default(),
+            &mut Workspace::new(),
+        );
         assert!(
             run.transcript
                 .peak_message_bits()
@@ -1139,7 +1120,7 @@ mod tests {
             gen::star(11),
             gen::grid(4, 6),
         ] {
-            let run = greedy(&g);
+            let run = greedy_spec(&g, &RunSpec::new(0), &mut Workspace::new());
             check(&g, &run);
         }
     }
@@ -1148,8 +1129,8 @@ mod tests {
     fn greedy_is_deterministic() {
         let mut rng = Rng::seed_from(11);
         let g = gen::gnp(70, 0.08, &mut rng);
-        let a = greedy(&g);
-        let b = greedy(&g);
+        let a = greedy_spec(&g, &RunSpec::new(0), &mut Workspace::new());
+        let b = greedy_spec(&g, &RunSpec::new(0), &mut Workspace::new());
         assert_eq!(a.in_matching, b.in_matching);
     }
 
@@ -1163,7 +1144,7 @@ mod tests {
             gen::grid(4, 5),
             gen::petersen(),
         ] {
-            let run = deterministic(&g);
+            let run = deterministic_spec(&g, &RunSpec::new(0), &mut Workspace::new());
             check(&g, &run);
         }
     }
@@ -1173,7 +1154,7 @@ mod tests {
         for seed in 0..3 {
             let mut rng = Rng::seed_from(seed + 30);
             let g = gen::gnp(60, 0.08, &mut rng);
-            let run = deterministic(&g);
+            let run = deterministic_spec(&g, &RunSpec::new(0), &mut Workspace::new());
             check(&g, &run);
         }
     }
@@ -1183,7 +1164,7 @@ mod tests {
         for d in [3usize, 6] {
             let mut rng = Rng::seed_from(d as u64);
             let g = gen::random_regular(64, d, &mut rng).unwrap();
-            let run = deterministic(&g);
+            let run = deterministic_spec(&g, &RunSpec::new(0), &mut Workspace::new());
             check(&g, &run);
         }
     }
@@ -1191,7 +1172,7 @@ mod tests {
     #[test]
     fn deterministic_single_edge() {
         let g = gen::path(2);
-        let run = deterministic(&g);
+        let run = deterministic_spec(&g, &RunSpec::new(0), &mut Workspace::new());
         assert_eq!(run.in_matching, vec![true]);
     }
 
@@ -1217,9 +1198,15 @@ mod tests {
         // approximations of each other.
         let mut rng = Rng::seed_from(4);
         let g = gen::random_regular(100, 4, &mut rng).unwrap();
-        let a = luby(&g, 1).size();
-        let b = greedy(&g).size();
-        let c = deterministic(&g).size();
+        let a = luby_spec(
+            &g,
+            &RunSpec::new(1),
+            &LubyMatchParams::default(),
+            &mut Workspace::new(),
+        )
+        .size();
+        let b = greedy_spec(&g, &RunSpec::new(0), &mut Workspace::new()).size();
+        let c = deterministic_spec(&g, &RunSpec::new(0), &mut Workspace::new()).size();
         for (x, y) in [(a, b), (a, c), (b, c)] {
             assert!(x <= 2 * y && y <= 2 * x, "sizes {x} vs {y}");
         }

@@ -2,17 +2,17 @@
 //!
 //! Three algorithms, matching the paper's discussion:
 //!
-//! * [`luby`] — Luby's classic randomized MIS \[Lub86, ABI86\]. Removes a
+//! * [`luby_spec`] — Luby's classic randomized MIS \[Lub86, ABI86\]. Removes a
 //!   constant fraction of *edges* per iteration, so under the relaxed
 //!   one-endpoint edge convention (footnote 2) its edge-averaged complexity
 //!   is O(1); on constant-degree graphs its node-averaged complexity is
 //!   O(1) too (§1.1). On the lower-bound graphs of §4 its node-averaged
 //!   complexity must grow — Theorem 16 — which experiment E9 measures.
-//! * [`degree_guided`] — a desire-level algorithm in the style of
+//! * [`degree_guided_spec`] — a desire-level algorithm in the style of
 //!   Ghaffari \[Gha16\] / \[BYCHGS17\], whose per-node decision probability
 //!   stays constant per O(log Δ)-phase; the paper cites it for the
 //!   O(log Δ / log log Δ) node-averaged upper bound.
-//! * [`greedy_by_id`] — the deterministic local-minimum greedy baseline
+//! * [`greedy_by_id_spec`] — the deterministic local-minimum greedy baseline
 //!   (every round, an undecided node with the smallest id in its undecided
 //!   neighborhood joins).
 //!
@@ -184,44 +184,25 @@ impl Process for LubyMis {
     }
 }
 
-/// Runs Luby's randomized MIS.
+/// Runs Luby's randomized MIS under `spec`, with tunable parameters and
+/// reusable [`Workspace`] arenas.
 ///
 /// # Example
 ///
 /// ```
+/// use localavg_core::algo::{RunSpec, Workspace};
+/// use localavg_core::mis::{self, LubyMisParams};
 /// use localavg_graph::{gen, rng::Rng};
-/// use localavg_core::mis;
 ///
 /// let mut rng = Rng::seed_from(3);
 /// let g = gen::random_regular(60, 4, &mut rng).expect("graph");
-/// let run = mis::luby(&g, 42);
+/// let params = LubyMisParams::default();
+/// let run = mis::luby_spec(&g, &RunSpec::new(42), &params, &mut Workspace::new());
 /// assert!(localavg_graph::analysis::is_maximal_independent_set(&g, &run.in_set));
 /// ```
-pub fn luby(g: &Graph, seed: u64) -> MisRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed),
-        &LubyMisParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`luby`] under an explicit [`RunSpec`], with tunable parameters and
-/// reusable [`Workspace`] arenas — the primary entry point.
 pub fn luby_spec(g: &Graph, spec: &RunSpec, params: &LubyMisParams, ws: &mut Workspace) -> MisRun {
     let t = spec.run_in::<LubyMis>(g, params, ws);
     MisRun::from_transcript(g, t)
-}
-
-/// [`luby`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `luby_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn luby_exec(g: &Graph, seed: u64, exec: Exec) -> MisRun {
-    luby_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &LubyMisParams::default(),
-        &mut Workspace::new(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -343,18 +324,8 @@ impl Process for DegreeGuidedMis {
     }
 }
 
-/// Runs the degree-guided (Ghaffari-style) randomized MIS.
-pub fn degree_guided(g: &Graph, seed: u64) -> MisRun {
-    degree_guided_spec(
-        g,
-        &RunSpec::new(seed),
-        &DegreeGuidedParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
-/// [`degree_guided`] under an explicit [`RunSpec`], with tunable
-/// parameters and reusable [`Workspace`] arenas.
+/// Runs the degree-guided (Ghaffari-style) randomized MIS under `spec`,
+/// with tunable parameters and reusable [`Workspace`] arenas.
 pub fn degree_guided_spec(
     g: &Graph,
     spec: &RunSpec,
@@ -363,17 +334,6 @@ pub fn degree_guided_spec(
 ) -> MisRun {
     let t = spec.run_in::<DegreeGuidedMis>(g, params, ws);
     MisRun::from_transcript(g, t)
-}
-
-/// [`degree_guided`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `degree_guided_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn degree_guided_exec(g: &Graph, seed: u64, exec: Exec) -> MisRun {
-    degree_guided_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &DegreeGuidedParams::default(),
-        &mut Workspace::new(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -445,22 +405,11 @@ impl Process for GreedyMis {
     }
 }
 
-/// Runs the deterministic greedy-by-id MIS (baseline).
-pub fn greedy_by_id(g: &Graph) -> MisRun {
-    greedy_by_id_spec(g, &RunSpec::new(0), &mut Workspace::new())
-}
-
-/// [`greedy_by_id`] under an explicit [`RunSpec`] with reusable
-/// [`Workspace`] arenas (the seed is ignored — deterministic).
+/// Runs the deterministic greedy-by-id MIS (baseline) under `spec`, with
+/// reusable [`Workspace`] arenas (the seed is ignored — deterministic).
 pub fn greedy_by_id_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> MisRun {
     let t = spec.run_in::<GreedyMis>(g, &(), ws);
     MisRun::from_transcript(g, t)
-}
-
-/// [`greedy_by_id`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `greedy_by_id_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn greedy_by_id_exec(g: &Graph, exec: Exec) -> MisRun {
-    greedy_by_id_spec(g, &RunSpec::new(0).with_exec(exec), &mut Workspace::new())
 }
 
 #[cfg(test)]
@@ -487,7 +436,12 @@ mod tests {
             ("grid", gen::grid(6, 7)),
             ("petersen", gen::petersen()),
         ] {
-            let run = luby(&g, 7);
+            let run = luby_spec(
+                &g,
+                &RunSpec::new(7),
+                &LubyMisParams::default(),
+                &mut Workspace::new(),
+            );
             check_valid(&g, &run);
             let _ = name;
         }
@@ -496,7 +450,12 @@ mod tests {
     #[test]
     fn luby_isolated_nodes_join_at_round_zero() {
         let g = Graph::empty(5);
-        let run = luby(&g, 1);
+        let run = luby_spec(
+            &g,
+            &RunSpec::new(1),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
         assert!(run.in_set.iter().all(|&b| b));
         assert!(run.transcript.node_commit_round.iter().all(|&r| r == 0));
     }
@@ -505,8 +464,18 @@ mod tests {
     fn luby_different_seeds_differ() {
         let mut rng = Rng::seed_from(5);
         let g = gen::random_regular(80, 6, &mut rng).unwrap();
-        let a = luby(&g, 1);
-        let b = luby(&g, 2);
+        let a = luby_spec(
+            &g,
+            &RunSpec::new(1),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
+        let b = luby_spec(
+            &g,
+            &RunSpec::new(2),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
         check_valid(&g, &a);
         check_valid(&g, &b);
         assert_ne!(a.in_set, b.in_set, "almost surely different MIS");
@@ -516,7 +485,12 @@ mod tests {
     fn luby_is_congest() {
         let mut rng = Rng::seed_from(6);
         let g = gen::gnp(100, 0.08, &mut rng);
-        let run = luby(&g, 3);
+        let run = luby_spec(
+            &g,
+            &RunSpec::new(3),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
         check_valid(&g, &run);
         assert!(
             run.transcript
@@ -530,7 +504,12 @@ mod tests {
     fn luby_node_averaged_small_on_constant_degree() {
         let mut rng = Rng::seed_from(8);
         let g = gen::random_regular(400, 4, &mut rng).unwrap();
-        let run = luby(&g, 11);
+        let run = luby_spec(
+            &g,
+            &RunSpec::new(11),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
         check_valid(&g, &run);
         let report = ComplexityReport::from_run(&g, &run.transcript);
         // O(1) node-averaged on constant degree: generous bound.
@@ -552,7 +531,12 @@ mod tests {
             gen::star(16),
             gen::hypercube(4),
         ] {
-            let run = degree_guided(&g, 9);
+            let run = degree_guided_spec(
+                &g,
+                &RunSpec::new(9),
+                &DegreeGuidedParams::default(),
+                &mut Workspace::new(),
+            );
             check_valid(&g, &run);
         }
     }
@@ -561,7 +545,12 @@ mod tests {
     fn degree_guided_on_random_graph() {
         let mut rng = Rng::seed_from(10);
         let g = gen::gnp(150, 0.05, &mut rng);
-        let run = degree_guided(&g, 4);
+        let run = degree_guided_spec(
+            &g,
+            &RunSpec::new(4),
+            &DegreeGuidedParams::default(),
+            &mut Workspace::new(),
+        );
         check_valid(&g, &run);
     }
 
@@ -570,7 +559,7 @@ mod tests {
         // Greedy-by-id equals the sequential greedy that scans ids in order.
         let mut rng = Rng::seed_from(12);
         let g = gen::gnp(60, 0.1, &mut rng);
-        let run = greedy_by_id(&g);
+        let run = greedy_by_id_spec(&g, &RunSpec::new(0), &mut Workspace::new());
         check_valid(&g, &run);
         let mut expect = vec![false; g.n()];
         for v in g.nodes() {
@@ -585,7 +574,7 @@ mod tests {
     fn greedy_on_path_takes_linear_rounds_in_worst_case() {
         // Path with increasing ids: node 0 joins first, then a wave.
         let g = gen::path(30);
-        let run = greedy_by_id(&g);
+        let run = greedy_by_id_spec(&g, &RunSpec::new(0), &mut Workspace::new());
         check_valid(&g, &run);
         assert!(run.worst_case() >= 10, "adversarial id order is slow");
     }
@@ -594,10 +583,11 @@ mod tests {
     fn parallel_executor_agrees_with_sequential() {
         let mut rng = Rng::seed_from(14);
         let g = gen::random_regular(300, 6, &mut rng).unwrap();
-        let cfg = SimConfig::new(77).with_threads(4);
         let params = LubyMisParams::default();
-        let seq = run_sequential::<LubyMis>(&g, &params, &cfg);
-        let par = run_parallel::<LubyMis>(&g, &params, &cfg);
+        let spec = RunSpec::new(77).with_exec(Exec::Sequential);
+        let seq = spec.run::<LubyMis>(&g, &params);
+        let spec = spec.with_exec(Exec::Parallel { threads: 4 });
+        let par = spec.run::<LubyMis>(&g, &params);
         assert_eq!(seq.node_output, par.node_output);
         assert_eq!(seq.node_commit_round, par.node_commit_round);
     }
@@ -606,7 +596,12 @@ mod tests {
     fn luby_mark_factor_changes_the_run_but_stays_valid() {
         let mut rng = Rng::seed_from(30);
         let g = gen::random_regular(200, 4, &mut rng).unwrap();
-        let default = luby(&g, 5);
+        let default = luby_spec(
+            &g,
+            &RunSpec::new(5),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
         let aggressive = luby_spec(
             &g,
             &RunSpec::new(5),
@@ -624,7 +619,12 @@ mod tests {
     fn degree_guided_params_change_the_run_but_stay_valid() {
         let mut rng = Rng::seed_from(31);
         let g = gen::random_regular(200, 6, &mut rng).unwrap();
-        let default = degree_guided(&g, 4);
+        let default = degree_guided_spec(
+            &g,
+            &RunSpec::new(4),
+            &DegreeGuidedParams::default(),
+            &mut Workspace::new(),
+        );
         let cautious = degree_guided_spec(
             &g,
             &RunSpec::new(4),
@@ -647,7 +647,12 @@ mod tests {
         // one-endpoint edge-averaged complexity is O(1) on any graph.
         let mut rng = Rng::seed_from(20);
         let g = gen::gnp(300, 0.03, &mut rng);
-        let run = luby(&g, 5);
+        let run = luby_spec(
+            &g,
+            &RunSpec::new(5),
+            &LubyMisParams::default(),
+            &mut Workspace::new(),
+        );
         let report = ComplexityReport::from_run(&g, &run.transcript);
         assert!(
             report.edge_averaged_one_endpoint < 15.0,

@@ -9,7 +9,7 @@
 //!
 //! Two algorithms:
 //!
-//! * [`randomized`] — proposal contests in the spirit of \[GS17a\]: every
+//! * [`randomized_spec`] — proposal contests in the spirit of \[GS17a\]: every
 //!   unsatisfied node claims a random unoriented edge each iteration, with
 //!   a *grant rule* that keeps every unsatisfied node at least two
 //!   unoriented edges (so nobody can be starved into a sink). After O(1)
@@ -17,7 +17,7 @@
 //!   structural cycle-orientation rule below, whose cost is charged per
 //!   node as the ball radius actually needed (the LOCAL-model equivalence
 //!   of §2: a T-round algorithm ≡ a function of the radius-T view).
-//! * [`deterministic`] — Theorem 6's algorithm with its contraction-level
+//! * [`deterministic_with`] — Theorem 6's algorithm with its contraction-level
 //!   cost accounting implemented exactly as the paper's proof charges it:
 //!   each node picks 3 edges (unreciprocated picks act as the paper's
 //!   *self-loops* = free outs); short cycles (≤ 6r) take the *preferred
@@ -331,34 +331,6 @@ impl Process for RandOrient {
     }
 }
 
-/// Runs the randomized sinkless orientation: contest phase plus the
-/// structural ball-growing finisher (see module docs).
-///
-/// # Panics
-///
-/// Panics if the graph has minimum degree `< 3` (the problem's domain) or
-/// the produced orientation fails validation.
-///
-/// # Example
-///
-/// ```
-/// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::orientation;
-///
-/// let mut rng = Rng::seed_from(5);
-/// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
-/// let run = orientation::randomized(&g, 11);
-/// assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
-/// ```
-pub fn randomized(g: &Graph, seed: u64) -> OrientationRun {
-    randomized_spec(
-        g,
-        &RunSpec::new(seed),
-        &RandOrientParams::default(),
-        &mut Workspace::new(),
-    )
-}
-
 /// Tuning parameters of the randomized orientation (`"orientation/rand"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandOrientParams {
@@ -376,9 +348,29 @@ impl Default for RandOrientParams {
     }
 }
 
-/// [`randomized`] under an explicit [`RunSpec`], with tunable parameters
-/// and reusable [`Workspace`] arenas (the workspace serves the contest
-/// phase; the structural finisher allocates its own ledger).
+/// Runs the randomized sinkless orientation under `spec`: contest phase
+/// plus the structural ball-growing finisher (see module docs), with
+/// tunable parameters and reusable [`Workspace`] arenas (the workspace
+/// serves the contest phase; the finisher allocates its own ledger).
+///
+/// # Panics
+///
+/// Panics if the graph has minimum degree `< 3` (the problem's domain) or
+/// the produced orientation fails validation.
+///
+/// # Example
+///
+/// ```
+/// use localavg_core::algo::{RunSpec, Workspace};
+/// use localavg_core::orientation::{self, RandOrientParams};
+/// use localavg_graph::{analysis, gen, rng::Rng};
+///
+/// let mut rng = Rng::seed_from(5);
+/// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
+/// let params = RandOrientParams::default();
+/// let run = orientation::randomized_spec(&g, &RunSpec::new(11), &params, &mut Workspace::new());
+/// assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
+/// ```
 pub fn randomized_spec(
     g: &Graph,
     spec: &RunSpec,
@@ -401,17 +393,6 @@ pub fn randomized_spec(
     let base = t.rounds;
     finish_structurally(g, &mut ledger, base);
     finalize(g, ledger, spec.transcript)
-}
-
-/// [`randomized`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `randomized_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn randomized_exec(g: &Graph, seed: u64, exec: Exec) -> OrientationRun {
-    randomized_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &RandOrientParams::default(),
-        &mut Workspace::new(),
-    )
 }
 
 /// Completes any partial orientation: satisfied-neighbor waves, then the
@@ -700,7 +681,12 @@ impl Default for DetOrientParams {
     }
 }
 
-/// Runs Theorem 6's deterministic sinkless orientation.
+/// Runs Theorem 6's deterministic sinkless orientation under `policy` —
+/// the only part of a [`RunSpec`] that affects a structurally-assembled
+/// transcript (there is no round engine to parallelize or seed). Under an
+/// audited policy the transcript carries a silent audit (peak `Some(0)`);
+/// otherwise the audit columns stay empty, like an engine run under the
+/// same policy.
 ///
 /// # Panics
 ///
@@ -710,24 +696,15 @@ impl Default for DetOrientParams {
 /// # Example
 ///
 /// ```
+/// use localavg_core::algo::TranscriptPolicy;
+/// use localavg_core::orientation::{deterministic_with, DetOrientParams};
 /// use localavg_graph::{analysis, gen, rng::Rng};
-/// use localavg_core::orientation::{deterministic, DetOrientParams};
 ///
 /// let mut rng = Rng::seed_from(9);
 /// let g = gen::random_regular(64, 3, &mut rng).expect("graph");
-/// let run = deterministic(&g, DetOrientParams::default());
+/// let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
 /// assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
 /// ```
-pub fn deterministic(g: &Graph, params: DetOrientParams) -> OrientationRun {
-    deterministic_with(g, params, TranscriptPolicy::default())
-}
-
-/// [`deterministic`] under an explicit [`TranscriptPolicy`] — the only
-/// part of a [`RunSpec`] that affects a structurally-assembled transcript
-/// (there is no round engine to parallelize or seed). Under an audited
-/// policy the transcript carries a silent audit (peak `Some(0)`);
-/// otherwise the audit columns stay empty, like an engine run under the
-/// same policy.
 pub fn deterministic_with(
     g: &Graph,
     params: DetOrientParams,
@@ -1662,7 +1639,12 @@ mod tests {
 
     #[test]
     fn randomized_on_petersen() {
-        let run = randomized(&gen::petersen(), 3);
+        let run = randomized_spec(
+            &gen::petersen(),
+            &RunSpec::new(3),
+            &RandOrientParams::default(),
+            &mut Workspace::new(),
+        );
         assert!(analysis::is_sinkless_orientation(
             &gen::petersen(),
             &run.orientation
@@ -1673,7 +1655,12 @@ mod tests {
     fn randomized_on_random_3regular() {
         for seed in 0..5 {
             let g = regular3(60, seed);
-            let run = randomized(&g, seed * 7 + 1);
+            let run = randomized_spec(
+                &g,
+                &RunSpec::new(seed * 7 + 1),
+                &RandOrientParams::default(),
+                &mut Workspace::new(),
+            );
             assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
             assert!(run.transcript.all_edges_committed());
         }
@@ -1683,14 +1670,24 @@ mod tests {
     fn randomized_on_higher_degree() {
         let mut rng = Rng::seed_from(5);
         let g = gen::random_regular(80, 6, &mut rng).unwrap();
-        let run = randomized(&g, 9);
+        let run = randomized_spec(
+            &g,
+            &RunSpec::new(9),
+            &RandOrientParams::default(),
+            &mut Workspace::new(),
+        );
         assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
     }
 
     #[test]
     fn randomized_node_averaged_small() {
         let g = regular3(400, 11);
-        let run = randomized(&g, 2);
+        let run = randomized_spec(
+            &g,
+            &RunSpec::new(2),
+            &RandOrientParams::default(),
+            &mut Workspace::new(),
+        );
         let r = ComplexityReport::from_run(&g, &run.transcript);
         assert!(r.node_averaged < 40.0, "node avg {}", r.node_averaged);
     }
@@ -1698,13 +1695,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "minimum degree 3")]
     fn randomized_rejects_low_degree() {
-        let _ = randomized(&gen::cycle(5), 1);
+        let _ = randomized_spec(
+            &gen::cycle(5),
+            &RunSpec::new(1),
+            &RandOrientParams::default(),
+            &mut Workspace::new(),
+        );
     }
 
     #[test]
     fn deterministic_on_petersen() {
         let g = gen::petersen();
-        let run = deterministic(&g, DetOrientParams::default());
+        let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
         assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
     }
 
@@ -1712,7 +1714,7 @@ mod tests {
     fn deterministic_on_complete_graphs() {
         for n in [4usize, 6, 9] {
             let g = gen::complete(n);
-            let run = deterministic(&g, DetOrientParams::default());
+            let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
             assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
         }
     }
@@ -1721,7 +1723,7 @@ mod tests {
     fn deterministic_on_random_3regular() {
         for seed in 0..6 {
             let g = regular3(64, seed + 20);
-            let run = deterministic(&g, DetOrientParams::default());
+            let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
             assert!(
                 analysis::is_sinkless_orientation(&g, &run.orientation),
                 "seed {seed}"
@@ -1732,7 +1734,7 @@ mod tests {
     #[test]
     fn deterministic_on_larger_3regular() {
         let g = regular3(600, 77);
-        let run = deterministic(&g, DetOrientParams::default());
+        let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
         assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
         let r = ComplexityReport::from_run(&g, &run.transcript);
         assert!(
@@ -1745,15 +1747,15 @@ mod tests {
     fn deterministic_on_higher_degree() {
         let mut rng = Rng::seed_from(31);
         let g = gen::random_regular(90, 5, &mut rng).unwrap();
-        let run = deterministic(&g, DetOrientParams::default());
+        let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
         assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
     }
 
     #[test]
     fn deterministic_is_reproducible() {
         let g = regular3(48, 3);
-        let a = deterministic(&g, DetOrientParams::default());
-        let b = deterministic(&g, DetOrientParams::default());
+        let a = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
+        let b = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
         assert_eq!(a.orientation, b.orientation);
         assert_eq!(
             a.transcript.edge_commit_round,
@@ -1766,22 +1768,31 @@ mod tests {
         // Q4 is 4-regular with min degree 4 >= 3 and plenty of 4-cycles:
         // exercises the short-cycle preferred-orientation rule.
         let g = gen::hypercube(4);
-        let run = deterministic(&g, DetOrientParams::default());
+        let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
         assert!(analysis::is_sinkless_orientation(&g, &run.orientation));
     }
 
     #[test]
     #[should_panic(expected = "minimum degree 3")]
     fn deterministic_rejects_low_degree() {
-        let _ = deterministic(&gen::path(5), DetOrientParams::default());
+        let _ = deterministic_with(
+            &gen::path(5),
+            DetOrientParams::default(),
+            TranscriptPolicy::Full,
+        );
     }
 
     #[test]
     fn empty_graph_ok() {
         let g = Graph::empty(0);
-        let run = deterministic(&g, DetOrientParams::default());
+        let run = deterministic_with(&g, DetOrientParams::default(), TranscriptPolicy::Full);
         assert!(run.orientation.is_empty());
-        let run2 = randomized(&g, 1);
+        let run2 = randomized_spec(
+            &g,
+            &RunSpec::new(1),
+            &RandOrientParams::default(),
+            &mut Workspace::new(),
+        );
         assert!(run2.orientation.is_empty());
     }
 }

@@ -4,13 +4,13 @@
 //! members are within distance `β` of every node \[AGLP89\]; an MIS is a
 //! (2,1)-ruling set.
 //!
-//! * [`two_two`] — **Theorem 2**, implemented verbatim: each active node
+//! * [`two_two_spec`] — **Theorem 2**, implemented verbatim: each active node
 //!   marks itself with probability `1/(deg(v)+1)`; a marked node joins if
 //!   it has no marked *higher-priority* neighbor (priority = lexicographic
 //!   (degree, id)); everything within distance 2 of the new members is
 //!   deleted; recurse. The paper proves a constant fraction of nodes is
 //!   deleted per iteration, giving node-averaged complexity O(1).
-//! * [`deterministic`] — **Theorem 3**: O(log Δ) iterations of a
+//! * [`deterministic_spec`] — **Theorem 3**: O(log Δ) iterations of a
 //!   dominating-set step that (empirically, and by \[KP98\]'s guarantee
 //!   for the paper's subroutine) halves the active nodes in O(log* n)
 //!   rounds, followed by a Linial-coloring MIS finisher on the few
@@ -171,25 +171,21 @@ impl Process for TwoTwoRuling {
     }
 }
 
-/// Runs Theorem 2's randomized (2,2)-ruling set algorithm (CONGEST).
+/// Runs Theorem 2's randomized (2,2)-ruling set algorithm (CONGEST) under
+/// `spec`, with reusable [`Workspace`] arenas.
 ///
 /// # Example
 ///
 /// ```
-/// use localavg_graph::{analysis, gen, rng::Rng};
+/// use localavg_core::algo::{RunSpec, Workspace};
 /// use localavg_core::ruling;
+/// use localavg_graph::{analysis, gen, rng::Rng};
 ///
 /// let mut rng = Rng::seed_from(2);
 /// let g = gen::random_regular(64, 4, &mut rng).expect("graph");
-/// let run = ruling::two_two(&g, 5);
+/// let run = ruling::two_two_spec(&g, &RunSpec::new(5), &mut Workspace::new());
 /// assert!(analysis::is_ruling_set(&g, &run.in_set, 2, 2));
 /// ```
-pub fn two_two(g: &Graph, seed: u64) -> RulingRun {
-    two_two_spec(g, &RunSpec::new(seed), &mut Workspace::new())
-}
-
-/// [`two_two`] under an explicit [`RunSpec`] with reusable [`Workspace`]
-/// arenas.
 pub fn two_two_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> RulingRun {
     let t = spec.run_in::<TwoTwoRuling>(g, &(), ws);
     let in_set = t.node_labels();
@@ -199,16 +195,6 @@ pub fn two_two_spec(g: &Graph, spec: &RunSpec, ws: &mut Workspace) -> RulingRun 
         in_set,
         beta: 2,
     }
-}
-
-/// [`two_two`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `two_two_spec(g, &RunSpec::new(seed).with_exec(exec), ..)`")]
-pub fn two_two_exec(g: &Graph, seed: u64, exec: Exec) -> RulingRun {
-    two_two_spec(
-        g,
-        &RunSpec::new(seed).with_exec(exec),
-        &mut Workspace::new(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -594,26 +580,23 @@ impl Process for DetRuling {
     }
 }
 
-/// Runs Theorem 3's deterministic ruling set.
+/// Runs Theorem 3's deterministic ruling set under `spec`, with reusable
+/// [`Workspace`] arenas (the seed is ignored — deterministic).
 ///
 /// Returns a (2, β)-ruling set with `β = 2 * params.iterations + 1`.
 ///
 /// # Example
 ///
 /// ```
+/// use localavg_core::algo::{RunSpec, Workspace};
+/// use localavg_core::ruling::{deterministic_spec, DetRulingParams};
 /// use localavg_graph::{analysis, gen};
-/// use localavg_core::ruling::{deterministic, DetRulingParams};
 ///
 /// let g = gen::grid(8, 8);
-/// let run = deterministic(&g, DetRulingParams::for_log_delta(&g));
+/// let params = DetRulingParams::for_log_delta(&g);
+/// let run = deterministic_spec(&g, &RunSpec::new(0), params, &mut Workspace::new());
 /// assert!(analysis::is_ruling_set(&g, &run.in_set, 2, run.beta));
 /// ```
-pub fn deterministic(g: &Graph, params: DetRulingParams) -> RulingRun {
-    deterministic_spec(g, &RunSpec::new(0), params, &mut Workspace::new())
-}
-
-/// [`deterministic`] under an explicit [`RunSpec`] with reusable
-/// [`Workspace`] arenas (the seed is ignored — deterministic).
 pub fn deterministic_spec(
     g: &Graph,
     spec: &RunSpec,
@@ -629,17 +612,6 @@ pub fn deterministic_spec(
         in_set,
         beta,
     }
-}
-
-/// [`deterministic`] on a chosen executor (bit-identical across executors).
-#[deprecated(note = "use `deterministic_spec(g, &RunSpec::new(0).with_exec(exec), ..)`")]
-pub fn deterministic_exec(g: &Graph, params: DetRulingParams, exec: Exec) -> RulingRun {
-    deterministic_spec(
-        g,
-        &RunSpec::new(0).with_exec(exec),
-        params,
-        &mut Workspace::new(),
-    )
 }
 
 #[cfg(test)]
@@ -658,7 +630,7 @@ mod tests {
             gen::grid(5, 6),
             gen::petersen(),
         ] {
-            let run = two_two(&g, 3);
+            let run = two_two_spec(&g, &RunSpec::new(3), &mut Workspace::new());
             assert!(
                 analysis::is_ruling_set(&g, &run.in_set, 2, 2),
                 "invalid (2,2)-ruling set"
@@ -671,7 +643,7 @@ mod tests {
         for seed in 0..5 {
             let mut rng = Rng::seed_from(seed);
             let g = gen::gnp(120, 0.05, &mut rng);
-            let run = two_two(&g, seed * 11 + 1);
+            let run = two_two_spec(&g, &RunSpec::new(seed * 11 + 1), &mut Workspace::new());
             assert!(analysis::is_ruling_set(&g, &run.in_set, 2, 2));
         }
     }
@@ -680,7 +652,7 @@ mod tests {
     fn two_two_is_congest() {
         let mut rng = Rng::seed_from(4);
         let g = gen::random_regular(100, 8, &mut rng).unwrap();
-        let run = two_two(&g, 9);
+        let run = two_two_spec(&g, &RunSpec::new(9), &mut Workspace::new());
         assert!(
             run.transcript
                 .peak_message_bits()
@@ -695,7 +667,7 @@ mod tests {
         // graphs, unlike MIS.
         let mut rng = Rng::seed_from(5);
         let g = gen::random_regular(512, 16, &mut rng).unwrap();
-        let run = two_two(&g, 13);
+        let run = two_two_spec(&g, &RunSpec::new(13), &mut Workspace::new());
         let report = ComplexityReport::from_run(&g, &run.transcript);
         assert!(
             report.node_averaged < 16.0,
@@ -707,10 +679,10 @@ mod tests {
     #[test]
     fn two_two_empty_and_singleton() {
         let g = Graph::empty(1);
-        let run = two_two(&g, 1);
+        let run = two_two_spec(&g, &RunSpec::new(1), &mut Workspace::new());
         assert_eq!(run.in_set, vec![true]);
         let g0 = Graph::empty(0);
-        let run0 = two_two(&g0, 1);
+        let run0 = two_two_spec(&g0, &RunSpec::new(1), &mut Workspace::new());
         assert!(run0.in_set.is_empty());
     }
 
@@ -725,7 +697,7 @@ mod tests {
             gen::binary_tree(31),
         ] {
             let params = DetRulingParams::for_log_delta(&g);
-            let run = deterministic(&g, params);
+            let run = deterministic_spec(&g, &RunSpec::new(0), params, &mut Workspace::new());
             assert!(
                 analysis::is_ruling_set(&g, &run.in_set, 2, run.beta),
                 "invalid (2,{})-ruling set",
@@ -739,7 +711,12 @@ mod tests {
         for seed in 0..3 {
             let mut rng = Rng::seed_from(seed + 100);
             let g = gen::gnp(90, 0.06, &mut rng);
-            let run = deterministic(&g, DetRulingParams::for_log_delta(&g));
+            let run = deterministic_spec(
+                &g,
+                &RunSpec::new(0),
+                DetRulingParams::for_log_delta(&g),
+                &mut Workspace::new(),
+            );
             assert!(analysis::is_ruling_set(&g, &run.in_set, 2, run.beta));
         }
     }
@@ -749,7 +726,7 @@ mod tests {
         let mut rng = Rng::seed_from(42);
         let g = gen::random_regular(128, 4, &mut rng).unwrap();
         let params = DetRulingParams::for_log_log_n(&g);
-        let run = deterministic(&g, params);
+        let run = deterministic_spec(&g, &RunSpec::new(0), params, &mut Workspace::new());
         assert!(analysis::is_ruling_set(&g, &run.in_set, 2, run.beta));
         // β = O(log log n), far below the log Δ variant on high-degree graphs.
         assert!(run.beta <= 2 * (3 * 3 + 1) + 1);
@@ -759,8 +736,8 @@ mod tests {
     fn deterministic_is_reproducible() {
         let g = gen::grid(7, 7);
         let params = DetRulingParams::for_log_delta(&g);
-        let a = deterministic(&g, params);
-        let b = deterministic(&g, params);
+        let a = deterministic_spec(&g, &RunSpec::new(0), params, &mut Workspace::new());
+        let b = deterministic_spec(&g, &RunSpec::new(0), params, &mut Workspace::new());
         assert_eq!(a.in_set, b.in_set);
         assert_eq!(
             a.transcript.node_commit_round,
@@ -774,7 +751,7 @@ mod tests {
         let mut rng = Rng::seed_from(77);
         let g = gen::random_regular(256, 4, &mut rng).unwrap();
         let params = DetRulingParams::for_log_delta(&g);
-        let run = deterministic(&g, params);
+        let run = deterministic_spec(&g, &RunSpec::new(0), params, &mut Workspace::new());
         let report = ComplexityReport::from_run(&g, &run.transcript);
         // Node-averaged must be much smaller than the worst case.
         assert!(

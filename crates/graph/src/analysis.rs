@@ -13,7 +13,8 @@
 //!    every algorithm run with these.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// Marker for "unreached" in distance arrays.
 pub const UNREACHED: usize = usize::MAX;
@@ -142,18 +143,35 @@ pub fn shortest_cycle_through(g: &Graph, v: NodeId, cap: usize) -> Option<usize>
 /// *excluding* edges between two nodes both at distance exactly `k`
 /// (paper §C.1). Theorem 11's indistinguishability applies to nodes whose
 /// views are trees; Corollary 15 bounds the probability that they are not.
+///
+/// Costs O(|G_k(v)|): a BFS to radius `k` that stops at the first cycle.
+/// Every edge of the view has an endpoint at distance `< k` and is
+/// scanned from there; besides the arc back along a node's own BFS parent
+/// edge (matched by [`EdgeId`], so a parallel edge still counts), any
+/// scanned arc into an already-visited node closes a cycle.
 pub fn view_is_tree(g: &Graph, v: NodeId, k: usize) -> bool {
-    let dist = bfs_distances(g, v, k);
-    let nodes = g.nodes().filter(|&x| dist[x] != UNREACHED).count();
-    let mut edges = 0usize;
-    for (_, x, y) in g.edges() {
-        if dist[x] != UNREACHED && dist[y] != UNREACHED && !(dist[x] == k && dist[y] == k) {
-            edges += 1;
+    let mut parent_edge: HashMap<NodeId, Option<EdgeId>> = HashMap::from([(v, None)]);
+    let mut frontier = vec![v];
+    for _ in 0..k {
+        let mut next = Vec::new();
+        for &x in &frontier {
+            let up = parent_edge[&x];
+            for &(y, e) in g.neighbors(x) {
+                if up == Some(e) {
+                    continue;
+                }
+                match parent_edge.entry(y) {
+                    Entry::Occupied(_) => return false,
+                    Entry::Vacant(slot) => {
+                        slot.insert(Some(e));
+                        next.push(y);
+                    }
+                }
+            }
         }
+        frontier = next;
     }
-    // The view is connected by construction (every node has a BFS path to v),
-    // so tree ⇔ |E| = |V| - 1.
-    edges == nodes.saturating_sub(1)
+    true
 }
 
 /// Fraction of nodes whose radius-`k` view is a tree (Corollary 15 probe).
@@ -507,8 +525,8 @@ pub fn is_proper_coloring(g: &Graph, colors: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
     use crate::rng::Rng;
+    use crate::{gen, lift};
 
     #[test]
     fn bfs_on_path() {
@@ -570,6 +588,70 @@ mod tests {
         for k in 0..5 {
             assert!(view_is_tree(&t, 0, k));
         }
+    }
+
+    /// The paper's definition of a tree-like view read off directly: count
+    /// the nodes and edges of `G_k(v)`. The view is connected by
+    /// construction, so it is a tree iff `|E| = |V| - 1`. O(n + m) per call.
+    fn view_is_tree_by_edge_count(g: &Graph, v: NodeId, k: usize) -> bool {
+        let dist = bfs_distances(g, v, k);
+        let nodes = g.nodes().filter(|&x| dist[x] != UNREACHED).count();
+        let edges = g
+            .edges()
+            .filter(|&(_, x, y)| {
+                dist[x] != UNREACHED && dist[y] != UNREACHED && !(dist[x] == k && dist[y] == k)
+            })
+            .count();
+        edges == nodes.saturating_sub(1)
+    }
+
+    #[test]
+    fn view_is_tree_matches_the_edge_count_definition() {
+        let mut rng = Rng::seed_from(41);
+        let mut graphs = vec![
+            gen::path(1),
+            gen::path(9),
+            gen::cycle(3),
+            gen::cycle(8),
+            gen::cycle(13),
+            gen::grid(5, 6),
+            gen::grid(2, 9),
+        ];
+        for n in [2, 12, 40, 90] {
+            graphs.push(gen::random_tree(n, &mut rng));
+        }
+        for (n, d) in [(20, 3), (30, 4), (16, 5), (60, 3)] {
+            graphs.push(gen::random_regular(n, d, &mut rng).unwrap());
+        }
+        // Random lifts — the construction behind the lifted lower-bound
+        // graphs — of bases with short cycles: larger orders make more
+        // views tree-like.
+        for base in [
+            gen::complete(4),
+            gen::petersen(),
+            gen::complete_bipartite(3, 3),
+        ] {
+            for q in [1, 3, 16] {
+                graphs.push(lift::lift(&base, q, &mut rng).graph);
+            }
+        }
+        let mut verdicts = [0usize; 2];
+        for g in &graphs {
+            for v in g.nodes() {
+                for k in 0..6 {
+                    let fast = view_is_tree(g, v, k);
+                    assert_eq!(
+                        fast,
+                        view_is_tree_by_edge_count(g, v, k),
+                        "n={} m={} v={v} k={k}",
+                        g.n(),
+                        g.m()
+                    );
+                    verdicts[fast as usize] += 1;
+                }
+            }
+        }
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
     }
 
     #[test]

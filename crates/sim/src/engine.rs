@@ -32,9 +32,8 @@
 //! loop is the 1-chunk special case — so executor choice, thread count,
 //! and chunk geometry are pure performance knobs that cannot perturb the
 //! transcript. Parallel runs distribute chunks over a persistent
-//! [`WorkerPool`] (spawned once per run, or once
-//! per [`Workspace`] when runs are batched) instead of respawning scoped
-//! threads every round.
+//! [`WorkerPool`] (spawned once per [`Workspace`], so batched runs
+//! reuse its threads) instead of respawning scoped threads every round.
 
 use crate::bitset::Bitset;
 use crate::message::{Envelope, MessageSize};
@@ -46,88 +45,13 @@ use localavg_graph::rng::Rng;
 use localavg_graph::{Graph, NodeId};
 use std::any::TypeId;
 
-/// Engine configuration.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Master seed; node `v` uses the substream `seed.fork(v)`.
-    pub seed: u64,
-    /// Hard cap on rounds; exceeding it panics (indicates a non-terminating
-    /// algorithm — every algorithm in this workspace halts explicitly).
-    pub max_rounds: usize,
-    /// Initial knowledge configuration.
-    pub knowledge: Knowledge,
-    /// Number of worker threads for [`run_parallel`] (ignored by
-    /// [`run_sequential`]); 0 means "number of available cores".
-    pub threads: usize,
-    /// How much ledger the transcript retains (see [`TranscriptPolicy`]).
-    pub transcript: TranscriptPolicy,
-    /// Explicit scheduler chunk size (nodes per chunk) for the chunked
-    /// executor; `None` picks a balanced default. Setting this *forces*
-    /// the chunked code path even below [`PARALLEL_MIN_NODES`] — the
-    /// scheduler-adversarial determinism tests use it to probe chunk
-    /// boundaries on small instances. A pure performance/testing knob:
-    /// transcripts are bit-identical for every value.
-    pub chunk_nodes: Option<usize>,
-}
-
-impl SimConfig {
-    /// Creates a configuration with the given seed and defaults: a
-    /// 1,000,000-round cap, full neighbor knowledge, automatic threads,
-    /// and a [`TranscriptPolicy::Full`] ledger.
-    pub fn new(seed: u64) -> Self {
-        SimConfig {
-            seed,
-            max_rounds: 1_000_000,
-            knowledge: Knowledge::default(),
-            threads: 0,
-            transcript: TranscriptPolicy::Full,
-            chunk_nodes: None,
-        }
-    }
-
-    /// Sets the round cap.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the knowledge configuration.
-    #[must_use]
-    pub fn with_knowledge(mut self, knowledge: Knowledge) -> Self {
-        self.knowledge = knowledge;
-        self
-    }
-
-    /// Sets the worker-thread count for the parallel executor.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the transcript-retention policy.
-    #[must_use]
-    pub fn with_transcript(mut self, policy: TranscriptPolicy) -> Self {
-        self.transcript = policy;
-        self
-    }
-
-    /// Sets an explicit scheduler chunk size (see [`SimConfig::chunk_nodes`]).
-    #[must_use]
-    pub fn with_chunk_nodes(mut self, chunk_nodes: Option<usize>) -> Self {
-        self.chunk_nodes = chunk_nodes;
-        self
-    }
-}
-
 /// Everything one run needs besides the graph and the algorithm's own
-/// parameters: seed, executor, round budget, and transcript policy.
+/// parameters: seed, executor, round budget, transcript policy, knowledge,
+/// and chunk geometry — the engine's one run configuration.
 ///
 /// This is the argument of the unified `execute(&Graph, &RunSpec)` entry
-/// points (`localavg-core`'s `Algorithm`/`DynAlgorithm`), replacing the
-/// old positional `run(&Graph, seed)` / `run_with_exec(.., exec)` pair.
-/// Built like [`SimConfig`], with chainable `with_*` setters:
+/// points (`localavg-core`'s `Algorithm`/`DynAlgorithm`). Built with
+/// chainable `with_*` setters:
 ///
 /// ```
 /// use localavg_sim::engine::{Exec, RunSpec};
@@ -146,14 +70,19 @@ pub struct RunSpec {
     /// Executor driving the run (a pure performance knob — transcripts
     /// are bit-identical across executors).
     pub exec: Exec,
-    /// Hard cap on rounds (the run panics beyond it).
+    /// Hard cap on rounds; exceeding it panics (indicates a non-terminating
+    /// algorithm — every algorithm in this workspace halts explicitly).
     pub max_rounds: usize,
     /// How much ledger the transcript retains.
     pub transcript: TranscriptPolicy,
     /// Initial knowledge configuration.
     pub knowledge: Knowledge,
-    /// Explicit scheduler chunk size (see [`SimConfig::chunk_nodes`]);
-    /// `None` — the default — picks a balanced chunk geometry.
+    /// Explicit scheduler chunk size (nodes per chunk); `None` — the
+    /// default — picks a balanced geometry. Setting this *forces* the
+    /// chunked code path even below [`PARALLEL_MIN_NODES`] — the
+    /// scheduler-adversarial determinism tests use it to probe chunk
+    /// boundaries on small instances. A pure performance/testing knob:
+    /// transcripts are bit-identical for every value.
     pub chunk_nodes: Option<usize>,
 }
 
@@ -207,47 +136,43 @@ impl RunSpec {
         self
     }
 
-    /// Sets an explicit scheduler chunk size (see [`SimConfig::chunk_nodes`]).
+    /// Sets an explicit scheduler chunk size (see [`RunSpec::chunk_nodes`]).
     #[must_use]
     pub fn with_chunk_nodes(mut self, chunk_nodes: Option<usize>) -> Self {
         self.chunk_nodes = chunk_nodes;
         self
     }
 
-    /// The equivalent [`SimConfig`] (threads resolved from the executor).
-    pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            seed: self.seed,
-            max_rounds: self.max_rounds,
-            knowledge: self.knowledge,
-            threads: match self.exec {
-                Exec::Sequential => 1,
-                Exec::Parallel { threads } => threads,
-            },
-            transcript: self.transcript,
-            chunk_nodes: self.chunk_nodes,
-        }
-    }
-
-    /// Runs `P` under this spec with fresh arenas.
+    /// Runs `P` under this spec with fresh arenas (see [`RunSpec::run_in`]).
     ///
     /// # Panics
     ///
-    /// Same conditions as [`run_sequential`].
-    pub fn run<P: Process>(
-        &self,
-        g: &Graph,
-        params: &P::Params,
-    ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-        self.exec.run::<P>(g, params, &self.sim_config())
+    /// Same conditions as [`RunSpec::run_in`].
+    pub fn run<P>(&self, g: &Graph, params: &P::Params) -> Transcript<P::NodeOutput, P::EdgeOutput>
+    where
+        P: Process + 'static,
+        P::Message: 'static,
+        P::NodeOutput: 'static,
+        P::EdgeOutput: 'static,
+    {
+        self.run_in::<P>(g, params, &mut Workspace::new())
     }
 
-    /// Runs `P` under this spec, reusing the arenas in `ws`
-    /// (see [`run_spec_in`]).
+    /// Runs `P` under this spec, reusing the arenas stored in `ws`.
+    ///
+    /// The first run of a process type (or the first after a CSR shape
+    /// change) allocates its arenas inside the workspace; subsequent runs
+    /// reuse them, paying only an O(n + m) reset instead of fresh
+    /// allocations. The first *parallel* run additionally spawns the
+    /// workspace's persistent worker pool; later parallel runs reuse its
+    /// threads. Transcripts are bit-identical to fresh-workspace runs —
+    /// the reset path is the only initialization path in the engine.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`run_sequential`].
+    /// Panics if the algorithm exceeds [`RunSpec::max_rounds`] without
+    /// halting every node, if a node commits its own output twice, or if
+    /// the two endpoints of an edge commit conflicting labels.
     pub fn run_in<P>(
         &self,
         g: &Graph,
@@ -260,7 +185,32 @@ impl RunSpec {
         P::NodeOutput: 'static,
         P::EdgeOutput: 'static,
     {
-        run_spec_in::<P>(g, params, self, ws)
+        let threads = match self.exec {
+            Exec::Sequential => 1,
+            Exec::Parallel { threads } => resolve_threads(threads),
+        };
+        let shape = (g.n(), g.m(), g.degree_sum());
+        let Workspace {
+            shape: ws_shape,
+            states,
+            pool,
+            reuses,
+            runs,
+        } = ws;
+        if *ws_shape != Some(shape) {
+            states.clear();
+            *ws_shape = Some(shape);
+        }
+        *runs += 1;
+        let slot = states.entry(TypeId::of::<P>());
+        if let std::collections::hash_map::Entry::Occupied(_) = &slot {
+            *reuses += 1;
+        }
+        let state = slot
+            .or_insert_with(|| Box::new(RunState::<P>::empty()))
+            .downcast_mut::<RunState<P>>()
+            .expect("workspace slot keyed by process type");
+        run_with_threads::<P>(g, params, self, threads, state, pool)
     }
 }
 
@@ -268,41 +218,18 @@ impl RunSpec {
 ///
 /// Both executors produce bit-identical transcripts (see the module docs),
 /// so `Exec` is a pure performance knob: benchmark harnesses and the
-/// determinism tests thread it through the `localavg-core` registry's
-/// `run_exec` entry points to time or cross-check the two executors on
-/// the same algorithm.
+/// determinism tests set it on a [`RunSpec`] to time or cross-check the
+/// two executors on the same algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Exec {
-    /// Single-threaded executor ([`run_sequential`]).
+    /// Single-threaded executor: one chunk, no worker pool.
     #[default]
     Sequential,
-    /// Chunked `std::thread::scope` executor ([`run_parallel`]).
+    /// Chunked executor over the [`Workspace`]'s persistent [`WorkerPool`].
     Parallel {
         /// Worker threads; 0 means "number of available cores".
         threads: usize,
     },
-}
-
-impl Exec {
-    /// Runs `P` under this executor (overriding `cfg.threads` for
-    /// [`Exec::Parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run_sequential`].
-    pub fn run<P: Process>(
-        self,
-        g: &Graph,
-        params: &P::Params,
-        cfg: &SimConfig,
-    ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-        match self {
-            Exec::Sequential => run_sequential::<P>(g, params, cfg),
-            Exec::Parallel { threads } => {
-                run_parallel::<P>(g, params, &cfg.clone().with_threads(threads))
-            }
-        }
-    }
 }
 
 /// Mutable per-run state shared by both executors.
@@ -605,7 +532,7 @@ impl<P: Process> RunState<P> {
     fn round_shared<'a>(
         &mut self,
         g: &'a Graph,
-        cfg: &'a SimConfig,
+        spec: &'a RunSpec,
         params: &'a P::Params,
         order: Option<&'a [u32]>,
         round: Round,
@@ -614,7 +541,7 @@ impl<P: Process> RunState<P> {
     ) -> RoundShared<'a, P> {
         RoundShared {
             g,
-            cfg,
+            spec,
             params,
             order,
             round,
@@ -671,7 +598,7 @@ impl<P: Process> RunState<P> {
 ///   pass, which runs strictly after the step pass.
 struct RoundShared<'a, P: Process> {
     g: &'a Graph,
-    cfg: &'a SimConfig,
+    spec: &'a RunSpec,
     params: &'a P::Params,
     /// Receiver-side port permutation (ascending neighbor id); `None`
     /// when adjacency is already sorted.
@@ -758,7 +685,7 @@ fn step_chunk<P: Process>(sh: &RoundShared<'_, P>, ci: usize) {
             };
             activate::<P>(
                 sh.g,
-                sh.cfg,
+                sh.spec.knowledge,
                 sh.params,
                 v,
                 sh.round,
@@ -934,7 +861,7 @@ fn dispatch(pool: Option<&WorkerPool>, limit: usize, chunks: usize, f: &(dyn Fn(
 #[allow(clippy::too_many_arguments)]
 fn activate<P: Process>(
     g: &Graph,
-    cfg: &SimConfig,
+    knowledge: Knowledge,
     params: &P::Params,
     v: NodeId,
     round: Round,
@@ -952,7 +879,7 @@ fn activate<P: Process>(
         id: v,
         round,
         graph: g,
-        knowledge: cfg.knowledge,
+        knowledge,
         max_degree,
         rng,
         out_slots,
@@ -971,47 +898,6 @@ fn activate<P: Process>(
     }
 }
 
-/// Runs the algorithm to completion on the sequential executor.
-///
-/// # Panics
-///
-/// Panics if the algorithm exceeds `cfg.max_rounds` without halting every
-/// node, if a node commits its own output twice, or if the two endpoints
-/// of an edge commit conflicting labels.
-pub fn run_sequential<P: Process>(
-    g: &Graph,
-    params: &P::Params,
-    cfg: &SimConfig,
-) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-    run_with_threads::<P>(g, params, cfg, 1, &mut RunState::empty(), None)
-}
-
-/// Runs the algorithm on the chunked parallel executor, spawning a
-/// transient [`WorkerPool`] for the run. Batched
-/// callers should prefer [`run_spec_in`], whose [`Workspace`] keeps the
-/// pool (and the arenas) alive across runs.
-///
-/// Produces a transcript bit-identical to [`run_sequential`]; see the
-/// module docs for why.
-///
-/// # Panics
-///
-/// Same conditions as [`run_sequential`].
-pub fn run_parallel<P: Process>(
-    g: &Graph,
-    params: &P::Params,
-    cfg: &SimConfig,
-) -> Transcript<P::NodeOutput, P::EdgeOutput> {
-    run_with_threads::<P>(
-        g,
-        params,
-        cfg,
-        resolve_threads(cfg.threads),
-        &mut RunState::empty(),
-        None,
-    )
-}
-
 /// Resolves a thread count with the `0 = all available cores` convention.
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -1022,11 +908,11 @@ fn resolve_threads(threads: usize) -> usize {
     .max(1)
 }
 
-/// Below this node count [`run_parallel`] falls back to the sequential
+/// Below this node count a parallel run falls back to the single-chunk
 /// loop — chunking overhead would dominate. Exported so tests asserting
 /// that the parallel executor really ran can size their instances
 /// against the actual threshold instead of a copied magic number. An
-/// explicit [`SimConfig::chunk_nodes`] overrides the fallback: the
+/// explicit [`RunSpec::chunk_nodes`] overrides the fallback: the
 /// chunked path then runs at any instance size (the scheduler-adversarial
 /// determinism tests rely on this).
 pub const PARALLEL_MIN_NODES: usize = 256;
@@ -1040,106 +926,49 @@ fn default_chunk(n: usize, threads: usize) -> usize {
     target.div_ceil(64) * 64
 }
 
-/// Runs `P` under `spec`, reusing the arenas stored in `ws`.
-///
-/// The first run of a process type (or the first after a CSR shape
-/// change) allocates its arenas inside the workspace; subsequent runs
-/// reuse them, paying only an O(n + m) reset instead of fresh
-/// allocations. The first *parallel* run additionally spawns the
-/// workspace's persistent worker pool; later parallel runs reuse its
-/// threads. Transcripts are bit-identical to workspace-less runs — the
-/// reset path is the only initialization path in the engine.
-///
-/// # Panics
-///
-/// Same conditions as [`run_sequential`].
-pub fn run_spec_in<P>(
-    g: &Graph,
-    params: &P::Params,
-    spec: &RunSpec,
-    ws: &mut Workspace,
-) -> Transcript<P::NodeOutput, P::EdgeOutput>
-where
-    P: Process + 'static,
-    P::Message: 'static,
-    P::NodeOutput: 'static,
-    P::EdgeOutput: 'static,
-{
-    let cfg = spec.sim_config();
-    let threads = match spec.exec {
-        Exec::Sequential => 1,
-        Exec::Parallel { threads } => resolve_threads(threads),
-    };
-    let shape = (g.n(), g.m(), g.degree_sum());
-    let Workspace {
-        shape: ws_shape,
-        states,
-        pool,
-        reuses,
-        runs,
-    } = ws;
-    if *ws_shape != Some(shape) {
-        states.clear();
-        *ws_shape = Some(shape);
-    }
-    *runs += 1;
-    let slot = states.entry(TypeId::of::<P>());
-    if let std::collections::hash_map::Entry::Occupied(_) = &slot {
-        *reuses += 1;
-    }
-    let state = slot
-        .or_insert_with(|| Box::new(RunState::<P>::empty()))
-        .downcast_mut::<RunState<P>>()
-        .expect("workspace slot keyed by process type");
-    run_with_threads::<P>(g, params, &cfg, threads, state, Some(pool))
-}
-
+/// Runs `P` under `spec` on `threads` resolved threads (the calling
+/// thread counts as one), in `state`'s arenas and with worker threads
+/// from the workspace's resident `pool`.
 fn run_with_threads<P: Process>(
     g: &Graph,
     params: &P::Params,
-    cfg: &SimConfig,
+    spec: &RunSpec,
     threads: usize,
     state: &mut RunState<P>,
-    ws_pool: Option<&mut Option<WorkerPool>>,
+    pool: &mut Option<WorkerPool>,
 ) -> Transcript<P::NodeOutput, P::EdgeOutput> {
     let n = g.n();
     // The chunk geometry is fixed for the whole run: small instances and
-    // one-thread configs run as a single chunk unless an explicit chunk
-    // size forces the chunked path.
-    let chunked = match cfg.chunk_nodes {
+    // one-thread runs are a single chunk unless an explicit chunk size
+    // forces the chunked path.
+    let chunked = match spec.chunk_nodes {
         Some(_) => true,
         None => threads > 1 && n >= PARALLEL_MIN_NODES,
     };
-    let chunk = match cfg.chunk_nodes {
+    let chunk = match spec.chunk_nodes {
         Some(c) => c.max(1),
         None if chunked => default_chunk(n, threads),
         None => n.max(1),
     };
     let chunks = if chunked { n.div_ceil(chunk).max(1) } else { 1 };
-    // Acquire worker threads: the workspace's resident pool when running
-    // through one (grown if this run wants more workers than it has), a
-    // transient pool otherwise. `threads` counts the driver, so a
-    // `threads = t` run keeps `t - 1` workers grabbing chunks.
+    // Acquire worker threads from the workspace's resident pool, grown if
+    // this run wants more workers than it has. `threads` counts the
+    // calling thread, so a `threads = t` run keeps `t - 1` workers
+    // grabbing chunks.
     let workers = if chunks > 1 {
         threads.saturating_sub(1)
     } else {
         0
     };
-    let mut transient = None;
     let pool: Option<&WorkerPool> = if workers > 0 {
-        match ws_pool {
-            Some(slot) => {
-                if slot.as_ref().is_none_or(|p| p.workers() < workers) {
-                    *slot = Some(WorkerPool::new(workers));
-                }
-                slot.as_ref()
-            }
-            None => Some(transient.insert(WorkerPool::new(workers))),
+        if pool.as_ref().is_none_or(|p| p.workers() < workers) {
+            *pool = Some(WorkerPool::new(workers));
         }
+        pool.as_ref()
     } else {
         None
     };
-    state.reset(g, cfg.seed, chunks, cfg.transcript);
+    state.reset(g, spec.seed, chunks, spec.transcript);
     let max_degree = g.max_degree();
     // Receiver-side gather walks senders in ascending id order; for
     // insertion-ordered adjacencies that is a cached permutation.
@@ -1148,12 +977,12 @@ fn run_with_threads<P: Process>(
     let mut round: Round = 0;
     loop {
         {
-            let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
+            let sh = state.round_shared(g, spec, params, order, round, max_degree, chunk);
             dispatch(pool, workers, chunks, &|ci| step_chunk::<P>(&sh, ci));
         }
         state.apply_events(round);
         {
-            let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
+            let sh = state.round_shared(g, spec, params, order, round, max_degree, chunk);
             dispatch(pool, workers, chunks, &|ci| audit_chunk::<P>(&sh, ci));
         }
         let (messages, round_max_bits, deliveries) = state.collect_audit();
@@ -1172,15 +1001,15 @@ fn run_with_threads<P: Process>(
             state.ensure_inbox_arena(g);
         }
         {
-            let sh = state.round_shared(g, cfg, params, order, round, max_degree, chunk);
+            let sh = state.round_shared(g, spec, params, order, round, max_degree, chunk);
             dispatch(pool, workers, chunks, &|ci| gather_chunk::<P>(&sh, ci));
         }
         state.drain_spills();
         round += 1;
         assert!(
-            round <= cfg.max_rounds,
+            round <= spec.max_rounds,
             "algorithm exceeded max_rounds={} without halting",
-            cfg.max_rounds
+            spec.max_rounds
         );
     }
     state.transcript.rounds = round;
@@ -1239,8 +1068,7 @@ mod tests {
     #[test]
     fn flood_reaches_radius() {
         let g = gen::path(8);
-        let cfg = SimConfig::new(1);
-        let t = run_sequential::<MaxFlood>(&g, &RADIUS, &cfg);
+        let t = RunSpec::new(1).run::<MaxFlood>(&g, &RADIUS);
         // After 3 rounds of flooding, node 0 has seen ids up to distance 3.
         assert_eq!(t.node_output[0], Some(3));
         assert_eq!(t.node_output[4], Some(7));
@@ -1255,7 +1083,7 @@ mod tests {
     #[test]
     fn congest_accounting() {
         let g = gen::cycle(6);
-        let t = run_sequential::<MaxFlood>(&g, &RADIUS, &SimConfig::new(2));
+        let t = RunSpec::new(2).run::<MaxFlood>(&g, &RADIUS);
         assert_eq!(t.peak_message_bits(), Some(64));
         // 6 nodes broadcast to 2 neighbors for rounds 0..=2 (round 3 commits).
         assert_eq!(t.messages_sent, 6 * 2 * 3);
@@ -1274,9 +1102,10 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let g = gen::grid(8, 9);
-        let cfg = SimConfig::new(7).with_threads(4);
-        let a = run_sequential::<MaxFlood>(&g, &RADIUS, &cfg);
-        let b = run_parallel::<MaxFlood>(&g, &RADIUS, &cfg);
+        let a = RunSpec::new(7).run::<MaxFlood>(&g, &RADIUS);
+        let b = RunSpec::new(7)
+            .with_exec(Exec::Parallel { threads: 4 })
+            .run::<MaxFlood>(&g, &RADIUS);
         assert_eq!(a.node_output, b.node_output);
         assert_eq!(a.node_commit_round, b.node_commit_round);
         assert_eq!(a.rounds, b.rounds);
@@ -1309,9 +1138,11 @@ mod tests {
     #[test]
     fn randomness_is_seed_deterministic() {
         let g = gen::cycle(32);
-        let a = run_sequential::<CoinFlip>(&g, &(), &SimConfig::new(5));
-        let b = run_parallel::<CoinFlip>(&g, &(), &SimConfig::new(5).with_threads(3));
-        let c = run_sequential::<CoinFlip>(&g, &(), &SimConfig::new(6));
+        let a = RunSpec::new(5).run::<CoinFlip>(&g, &());
+        let b = RunSpec::new(5)
+            .with_exec(Exec::Parallel { threads: 3 })
+            .run::<CoinFlip>(&g, &());
+        let c = RunSpec::new(6).run::<CoinFlip>(&g, &());
         assert_eq!(a.node_output, b.node_output);
         assert_ne!(a.node_output, c.node_output);
         assert_eq!(a.rounds, 0, "0-round algorithm");
@@ -1363,7 +1194,7 @@ mod tests {
     #[test]
     fn edge_commits_record_earliest_round_and_agree() {
         let g = gen::path(4);
-        let t = run_sequential::<EdgeLabel>(&g, &(), &SimConfig::new(1));
+        let t = RunSpec::new(1).run::<EdgeLabel>(&g, &());
         assert!(t.all_edges_committed());
         // Lower endpoint committed at round 0; duplicate commit at round 1
         // must not move the recorded round.
@@ -1400,7 +1231,7 @@ mod tests {
     #[should_panic(expected = "conflicting labels")]
     fn conflicting_edge_commit_panics() {
         let g = gen::path(2);
-        let _ = run_sequential::<BadEdgeLabel>(&g, &(), &SimConfig::new(1));
+        let _ = RunSpec::new(1).run::<BadEdgeLabel>(&g, &());
     }
 
     /// A process that never halts must trip the round cap.
@@ -1421,8 +1252,7 @@ mod tests {
     #[should_panic(expected = "max_rounds")]
     fn round_cap_panics() {
         let g = gen::path(3);
-        let cfg = SimConfig::new(1).with_max_rounds(10);
-        let _ = run_sequential::<Forever>(&g, &(), &cfg);
+        let _ = RunSpec::new(1).with_max_rounds(10).run::<Forever>(&g, &());
     }
 
     #[test]
@@ -1441,12 +1271,12 @@ mod tests {
             fn round(&mut self, _: &mut Ctx<'_, Self>, _: &[Envelope<()>]) {}
         }
         let g = gen::path(2);
-        let cfg = SimConfig::new(1).with_knowledge(Knowledge {
+        let spec = RunSpec::new(1).with_knowledge(Knowledge {
             neighbor_ids: false,
             neighbor_degrees: false,
         });
         let result = std::panic::catch_unwind(|| {
-            let _ = run_sequential::<NosyProcess>(&g, &(), &cfg);
+            let _ = spec.run::<NosyProcess>(&g, &());
         });
         assert!(result.is_err());
     }
@@ -1454,40 +1284,26 @@ mod tests {
     #[test]
     fn empty_graph_trivial_run() {
         let g = Graph::empty(0);
-        let t = run_sequential::<CoinFlip>(&g, &(), &SimConfig::new(1));
+        let t = RunSpec::new(1).run::<CoinFlip>(&g, &());
         assert_eq!(t.rounds, 0);
         assert!(t.is_complete());
     }
 
     #[test]
-    fn config_builders() {
-        let cfg = SimConfig::new(9)
-            .with_max_rounds(50)
-            .with_threads(2)
-            .with_knowledge(Knowledge::default())
-            .with_transcript(TranscriptPolicy::CompletionsOnly);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.max_rounds, 50);
-        assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.transcript, TranscriptPolicy::CompletionsOnly);
-    }
-
-    #[test]
-    fn run_spec_builders_and_sim_config() {
+    fn run_spec_builders() {
         let spec = RunSpec::new(3)
             .with_seed(4)
             .with_exec(Exec::Parallel { threads: 2 })
             .with_max_rounds(99)
             .with_transcript(TranscriptPolicy::None)
-            .with_knowledge(Knowledge::default());
+            .with_knowledge(Knowledge::default())
+            .with_chunk_nodes(Some(8));
         assert_eq!(spec.seed, 4);
+        assert_eq!(spec.exec, Exec::Parallel { threads: 2 });
         assert_eq!(spec.max_rounds, 99);
-        let cfg = spec.sim_config();
-        assert_eq!(cfg.seed, 4);
-        assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.max_rounds, 99);
-        assert_eq!(cfg.transcript, TranscriptPolicy::None);
-        assert_eq!(RunSpec::new(1).sim_config().threads, 1);
+        assert_eq!(spec.transcript, TranscriptPolicy::None);
+        assert_eq!(spec.chunk_nodes, Some(8));
+        assert_eq!(RunSpec::new(1).exec, Exec::Sequential);
     }
 
     #[test]
