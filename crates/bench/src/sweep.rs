@@ -659,12 +659,20 @@ pub fn run_with_file(
                 // One workspace per worker: cells for the same instance
                 // and algorithm reuse arenas instead of reallocating.
                 let mut ws = Workspace::new();
+                let mut last_algorithm = None;
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= cells.len() {
                         break;
                     }
                     let cell = cells[i];
+                    // Cells come in (generator, n, algorithm, seed) order,
+                    // so an algorithm this worker has moved past never
+                    // returns on the current shape: drop the arenas.
+                    if last_algorithm.is_some_and(|a| a != cell.algorithm) {
+                        ws.clear();
+                    }
+                    last_algorithm = Some(cell.algorithm);
                     let g = instance(cell.generator, cell.n);
                     let algo = algos.get(cell.algorithm).expect("validated key");
                     let run = algo.execute_in(

@@ -83,6 +83,42 @@ fn emitted_bytes_are_independent_of_thread_count() {
     assert_eq!(emit::groups_csv(&sequential), emit::groups_csv(&parallel));
 }
 
+/// The heaviest cell of the full grid before short cycles were
+/// enumerated once each: `orientation/det` on `regular/3` at n = 4096
+/// (EXPERIMENTS.md §A: 13.88 / 12.84 / 16). Its CSV lines and its JSON,
+/// distributions included, are pinned to the bytes of the all-starts
+/// enumeration.
+#[test]
+fn heavy_orientation_cell_matches_pinned_bytes() {
+    let spec = sweep::SweepSpec {
+        algorithms: vec!["orientation/det".into()],
+        generators: vec!["regular/3".into()],
+        sizes: vec![4096],
+        seeds: 1,
+        master_seed: 0,
+        params: Vec::new(),
+    };
+    let report = sweep::run(&spec, 1).expect("sweep runs");
+    assert_eq!(
+        emit::cells_csv(&report).lines().nth(1),
+        Some(
+            "orientation/det,regular/3,4096,0,4096,6144,3,3,13.87548828125,\
+             12.837565104166666,12.837565104166666,16,16,0"
+        )
+    );
+    assert_eq!(
+        emit::groups_csv(&report).lines().nth(1),
+        Some(
+            "orientation/det,regular/3,4096,1,13.87548828125,12.837565104166666,\
+             16,16,16,true"
+        )
+    );
+    check_golden(
+        "orientation-det-regular3-4096.json",
+        &emit::to_json(&report),
+    );
+}
+
 #[test]
 fn lean_policies_reproduce_the_golden_metrics() {
     // The committed golden bytes pin the Full-policy sweep. Re-executing

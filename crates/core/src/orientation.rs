@@ -715,57 +715,7 @@ pub fn deterministic_with(
         "sinkless orientation requires minimum degree 3"
     );
     let mut ledger = Ledger::new(g);
-
-    // Level 0: every node picks its 3 smallest incident edges (the paper's
-    // degree-3 truncation). Mutual picks are links; one-sided picks act as
-    // the paper's self-loops (free ports); unpicked edges default later.
-    let mut picks: Vec<Vec<EdgeId>> = g
-        .nodes()
-        .map(|v| {
-            let mut es: Vec<EdgeId> = g.neighbors(v).iter().map(|&(_, e)| e).collect();
-            es.sort_unstable();
-            es.truncate(3);
-            es
-        })
-        .collect();
-    let mut vedges = Vec::new();
-    let mut ports: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
-    let mut seen: HashMap<EdgeId, usize> = HashMap::new();
-    for v in g.nodes() {
-        let list = std::mem::take(&mut picks[v]);
-        for e in list {
-            let (x, y) = g.endpoints(e);
-            let other = if x == v { y } else { x };
-            let mutual_pick = {
-                let mut os: Vec<EdgeId> = g.neighbors(other).iter().map(|&(_, ee)| ee).collect();
-                os.sort_unstable();
-                os.truncate(3);
-                os.contains(&e)
-            };
-            if let Some(&idx) = seen.get(&e) {
-                let _ = idx; // already created by the other endpoint
-                if mutual_pick {
-                    ports[v].push(idx_for(&seen, e));
-                }
-                continue;
-            }
-            let sense_from_v = x == v;
-            let idx = vedges.len();
-            vedges.push(VEdge {
-                a: v,
-                b: if mutual_pick { Some(other) } else { None },
-                path: vec![(e, sense_from_v)],
-                inner: Vec::new(),
-            });
-            seen.insert(e, idx);
-            ports[v].push(idx);
-        }
-    }
-    let vg = VGraph {
-        host: g.nodes().collect(),
-        ports,
-        vedges,
-    };
+    let vg = level_zero(g);
 
     let mut result = LevelResult {
         vedge_dir: vec![None; vg.vedges.len()],
@@ -778,19 +728,60 @@ pub fn deterministic_with(
         ledger.decide_node(vg.host[v], c);
     }
     // Default-orient the never-picked original edges.
-    let final_clock = result.vnode_clock.iter().copied().max().unwrap_or(0);
     for (e, u, v) in g.edges() {
         if !ledger.is_set(e) {
             let c = ledger.node_clock[u].max(ledger.node_clock[v]).max(1) + 1;
             ledger.set(e, Orientation::away_from(g, e, u.max(v)), c);
         }
     }
-    let _ = final_clock;
     finalize(g, ledger, policy)
 }
 
-fn idx_for(seen: &HashMap<EdgeId, usize>, e: EdgeId) -> usize {
-    *seen.get(&e).expect("vedge exists")
+/// Level 0: every node picks its 3 smallest incident edges (the paper's
+/// degree-3 truncation). Mutual picks are links; one-sided picks act as
+/// the paper's self-loops (free ports); unpicked edges default later.
+fn level_zero(g: &Graph) -> VGraph {
+    let picks: Vec<Vec<EdgeId>> = g
+        .nodes()
+        .map(|v| {
+            let mut es: Vec<EdgeId> = g.neighbors(v).iter().map(|&(_, e)| e).collect();
+            es.sort_unstable();
+            es.truncate(3);
+            es
+        })
+        .collect();
+    let mut vedges = Vec::new();
+    let mut ports: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
+    let mut vedge_of: Vec<Option<usize>> = vec![None; g.m()];
+    for v in g.nodes() {
+        for &e in &picks[v] {
+            let (x, y) = g.endpoints(e);
+            let other = if x == v { y } else { x };
+            let mutual_pick = picks[other].contains(&e);
+            if let Some(idx) = vedge_of[e] {
+                // Already created by the other endpoint.
+                if mutual_pick {
+                    ports[v].push(idx);
+                }
+                continue;
+            }
+            let sense_from_v = x == v;
+            let idx = vedges.len();
+            vedges.push(VEdge {
+                a: v,
+                b: if mutual_pick { Some(other) } else { None },
+                path: vec![(e, sense_from_v)],
+                inner: Vec::new(),
+            });
+            vedge_of[e] = Some(idx);
+            ports[v].push(idx);
+        }
+    }
+    VGraph {
+        host: g.nodes().collect(),
+        ports,
+        vedges,
+    }
 }
 
 /// One level of Theorem 6's recursion. Fills `result` with the direction
@@ -838,7 +829,8 @@ fn solve_level(
         }
     }
 
-    // --- Short cycles (length <= 6r) among links of undecided vnodes.
+    // --- Short cycles (up to 6r + 1 links, see `for_each_short_cycle`)
+    // among links of undecided vnodes.
     let cycle_clock = clock_now + 6 * r * stretch;
     let cycles = short_cycle_orientations(vg, &decided, result, 6 * r);
     if !cycles.is_empty() {
@@ -1144,98 +1136,167 @@ fn has_outward(vg: &VGraph, v: usize, result: &LevelResult) -> bool {
 }
 
 /// Finds, per link vedge among undecided vnodes, the smallest containing
-/// cycle of length `<= max_len`, and returns the orientation each such
-/// vedge takes under the preferred orientation of its smallest cycle
-/// (paper §B, proof of Theorem 6).
+/// short cycle (smallest sorted vedge-id key; see [`for_each_short_cycle`]
+/// for which cycles count as short), and returns, in ascending vedge
+/// order, the vnode each such vedge orients away from under the preferred
+/// orientation of that cycle (paper §B, proof of Theorem 6).
+///
+/// The preferred orientation of a cycle depends only on its vedge set: its
+/// smallest vedge orients from the smaller-host endpoint and the rest
+/// follow around. So one walk per cycle, in either direction, suffices.
 fn short_cycle_orientations(
     vg: &VGraph,
     decided: &[bool],
     result: &LevelResult,
     max_len: usize,
 ) -> Vec<(usize, usize)> {
-    // Adjacency restricted to undecided link vedges.
+    // Per vedge: the smallest cycle key seen so far (the paper
+    // concatenates edge ids; any injective canonical form works for
+    // consistent minimum selection) and the vnode it orients from.
+    let mut best: Vec<Option<(Vec<usize>, usize)>> = vec![None; vg.vedges.len()];
+    for_each_short_cycle(vg, decided, result, max_len, |ves, nodes| {
+        let mut key = ves.to_vec();
+        key.sort_unstable();
+        // `ves[0]` is the cycle's smallest vedge, walked nodes[0] → nodes[1].
+        let forward = vg.host[nodes[0]] < vg.host[nodes[1]];
+        for (i, &ve) in ves.iter().enumerate() {
+            if best[ve].as_ref().is_none_or(|(k, _)| key < *k) {
+                let from = if forward { nodes[i] } else { nodes[i + 1] };
+                best[ve] = Some((key.clone(), from));
+            }
+        }
+    });
+    best.into_iter()
+        .enumerate()
+        .filter_map(|(ve, b)| b.map(|(_, from)| (ve, from)))
+        .collect()
+}
+
+/// Calls `f(ves, nodes)` exactly once per simple cycle of at least 3 and
+/// at most `max_len + 1` usable links (unoriented links between undecided
+/// vnodes). `ves` starts at the cycle's smallest vedge `s` and walks it
+/// from `s.a`; `nodes[i] → nodes[i + 1]` is the step over `ves[i]`, so
+/// `nodes[0] == nodes[ves.len()] == s.a`.
+///
+/// The walk is a DFS from `s.b` back to `s.a` that extends only through
+/// vedges larger than `s` and pushes only while it holds fewer than
+/// `max_len` vedges (so the closing link makes `max_len + 1`). A bounded
+/// BFS from `s.a` over the same links prunes every branch whose distance
+/// back to `s.a` exceeds the remaining budget.
+fn for_each_short_cycle(
+    vg: &VGraph,
+    decided: &[bool],
+    result: &LevelResult,
+    max_len: usize,
+    mut f: impl FnMut(&[usize], &[usize]),
+) {
+    let n = vg.host.len();
     let usable = |ve: usize| {
         result.vedge_dir[ve].is_none()
             && vg.vedges[ve].b.is_some()
             && !decided[vg.vedges[ve].a]
             && !decided[vg.vedges[ve].b.expect("link")]
     };
-    // Enumerate cycles by DFS from each vedge.
-    // Cycle key: sorted vedge ids (the paper concatenates edge ids; any
-    // injective canonical form works for consistent minimum selection).
-    let mut best_cycle: HashMap<usize, Vec<usize>> = HashMap::new(); // vedge -> cycle key/seq? store vedge sequence
-    let mut best_key: HashMap<usize, Vec<usize>> = HashMap::new();
-    for start_ve in 0..vg.vedges.len() {
-        if !usable(start_ve) {
-            continue;
-        }
-        let a = vg.vedges[start_ve].a;
-        let b = vg.vedges[start_ve].b.expect("link");
-        // DFS from b back to a with <= max_len - 1 further vedges.
-        let mut stack: Vec<(usize, Vec<usize>, Vec<usize>)> = vec![(b, vec![start_ve], vec![a, b])];
-        while let Some((cur, ves, nodes)) = stack.pop() {
-            if ves.len() > max_len {
+    // Flat adjacency of the usable links: vnode v's (vedge, far end) pairs
+    // are adj[offset[v]..offset[v + 1]], in ascending vedge order.
+    let mut offset = vec![0; n + 1];
+    let mut adj: Vec<(usize, usize)> = Vec::new();
+    for v in 0..n {
+        let first = adj.len();
+        adj.extend(
+            vg.ports[v]
+                .iter()
+                .filter(|&&ve| usable(ve))
+                .map(|&ve| (ve, vg.other(ve, v).expect("link"))),
+        );
+        adj[first..].sort_unstable();
+        offset[v + 1] = adj.len();
+    }
+    // First slot of v's adjacency holding a vedge larger than `s`.
+    let above = |v: usize, s: usize| {
+        offset[v] + adj[offset[v]..offset[v + 1]].partition_point(|&(ve, _)| ve <= s)
+    };
+
+    // Cycles have at most `budget` links. The BFS radius that balances
+    // the per-start BFS against the unpruned DFS prefix measured best at
+    // half the budget, rounded up.
+    let budget = max_len + 1;
+    let reach = budget.div_ceil(2);
+    let mut stamp = vec![usize::MAX; n];
+    let mut dist = vec![0; n];
+    let mut queue = VecDeque::new();
+    let mut on_path = vec![false; n];
+    let mut ves: Vec<usize> = Vec::with_capacity(budget);
+    let mut nodes: Vec<usize> = Vec::with_capacity(budget + 1);
+    // DFS frames: (vnode, next adjacency slot to try).
+    let mut frames: Vec<(usize, usize)> = Vec::with_capacity(budget);
+    for s in (0..vg.vedges.len()).filter(|&ve| usable(ve)) {
+        let (a, b) = (vg.vedges[s].a, vg.vedges[s].b.expect("link"));
+        // Distances from `a` over links larger than `s`, up to `reach`;
+        // `stamp[v] == s` marks the vnodes reached for this start.
+        stamp[a] = s;
+        dist[a] = 0;
+        queue.push_back(a);
+        while let Some(x) = queue.pop_front() {
+            if dist[x] == reach {
                 continue;
             }
-            for &ve in &vg.ports[cur] {
-                if !usable(ve) || ves.contains(&ve) {
-                    continue;
-                }
-                let Some(nxt) = vg.other(ve, cur) else {
-                    continue;
-                };
-                if nxt == a && ves.len() >= 2 {
-                    // Found a cycle.
-                    let mut cyc = ves.clone();
-                    cyc.push(ve);
-                    let mut key = cyc.clone();
-                    key.sort_unstable();
-                    for &cve in &cyc {
-                        let better = match best_key.get(&cve) {
-                            None => true,
-                            Some(k) => key < *k,
-                        };
-                        if better {
-                            best_key.insert(cve, key.clone());
-                            best_cycle.insert(cve, cyc.clone());
-                        }
-                    }
-                } else if !nodes.contains(&nxt) && ves.len() < max_len {
-                    let mut nv = ves.clone();
-                    nv.push(ve);
-                    let mut nn = nodes.clone();
-                    nn.push(nxt);
-                    stack.push((nxt, nv, nn));
+            for &(_, y) in &adj[above(x, s)..offset[x + 1]] {
+                if stamp[y] != s {
+                    stamp[y] = s;
+                    dist[y] = dist[x] + 1;
+                    queue.push_back(y);
                 }
             }
         }
-    }
-    // Preferred orientation per vedge from its own best cycle.
-    let mut out = Vec::new();
-    for (&ve, cyc) in &best_cycle {
-        // The cycle is a vedge sequence starting and ending at the start
-        // vedge's `a`; walk it to find the node sequence.
-        let mut node_seq = Vec::with_capacity(cyc.len());
-        let mut cur = vg.vedges[cyc[0]].a;
-        node_seq.push(cur);
-        for &cve in cyc {
-            cur = vg.other(cve, cur).expect("cycle over links");
-            node_seq.push(cur);
+        // A walk of `len` links ending at `v` can still close within the
+        // budget; an unreached vnode is farther than `reach`.
+        let can_close = |v: usize, len: usize| {
+            let left = budget - len;
+            if stamp[v] == s {
+                dist[v] <= left
+            } else {
+                left > reach
+            }
+        };
+        if !can_close(b, 1) {
+            continue;
         }
-        // Preferred orientation: the smallest vedge id in the cycle orients
-        // from its smaller-host endpoint; the rest follow around.
-        let min_ve = *cyc.iter().min().expect("nonempty cycle");
-        let pos = cyc.iter().position(|&x| x == min_ve).expect("present");
-        let (p, q) = (node_seq[pos], node_seq[pos + 1]);
-        // Walk direction: node_seq order. Flip if the minimum vedge would
-        // go from larger host to smaller.
-        let forward = vg.host[p] < vg.host[q];
-        let my_pos = cyc.iter().position(|&x| x == ve).expect("present");
-        let (x, y) = (node_seq[my_pos], node_seq[my_pos + 1]);
-        let from = if forward { x } else { y };
-        out.push((ve, from));
+        ves.push(s);
+        nodes.extend([a, b]);
+        on_path[a] = true;
+        on_path[b] = true;
+        frames.push((b, above(b, s)));
+        while let Some(top) = frames.last_mut() {
+            let (cur, slot) = *top;
+            if slot == offset[cur + 1] {
+                frames.pop();
+                ves.pop();
+                nodes.pop();
+                on_path[cur] = false;
+                continue;
+            }
+            top.1 += 1;
+            let (ve, nxt) = adj[slot];
+            let len = ves.len();
+            if nxt == a {
+                if len >= 2 {
+                    ves.push(ve);
+                    nodes.push(a);
+                    f(&ves, &nodes);
+                    ves.pop();
+                    nodes.pop();
+                }
+            } else if !on_path[nxt] && len < max_len && can_close(nxt, len + 1) {
+                on_path[nxt] = true;
+                ves.push(ve);
+                nodes.push(nxt);
+                frames.push((nxt, above(nxt, s)));
+            }
+        }
+        nodes.pop();
+        on_path[a] = false;
     }
-    out
 }
 
 /// Greedy maximal (radius)-independent set over the undecided link graph,
@@ -1794,5 +1855,284 @@ mod tests {
             &mut Workspace::new(),
         );
         assert!(run2.orientation.is_empty());
+    }
+
+    /// The all-starts enumeration [`short_cycle_orientations`] replaced, kept
+    /// as its oracle: a DFS over every simple path from every usable vedge
+    /// that `starts` selects, so each cycle is closed once per selected vedge
+    /// on it. Returns the `(vedge, from)` pairs sorted by vedge (exact only
+    /// for the selected vedges) and the sorted key of every closed cycle.
+    fn all_starts_oracle(
+        vg: &VGraph,
+        decided: &[bool],
+        result: &LevelResult,
+        max_len: usize,
+        starts: impl Fn(usize) -> bool,
+    ) -> (Vec<(usize, usize)>, Vec<Vec<usize>>) {
+        // Adjacency restricted to undecided link vedges.
+        let usable = |ve: usize| {
+            result.vedge_dir[ve].is_none()
+                && vg.vedges[ve].b.is_some()
+                && !decided[vg.vedges[ve].a]
+                && !decided[vg.vedges[ve].b.expect("link")]
+        };
+        // Enumerate cycles by DFS from each vedge.
+        // Cycle key: sorted vedge ids (the paper concatenates edge ids; any
+        // injective canonical form works for consistent minimum selection).
+        let mut best_cycle: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut best_key: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut closed = Vec::new();
+        for start_ve in 0..vg.vedges.len() {
+            if !usable(start_ve) || !starts(start_ve) {
+                continue;
+            }
+            let a = vg.vedges[start_ve].a;
+            let b = vg.vedges[start_ve].b.expect("link");
+            // DFS from b back to a with <= max_len - 1 further vedges.
+            let mut stack: Vec<(usize, Vec<usize>, Vec<usize>)> =
+                vec![(b, vec![start_ve], vec![a, b])];
+            while let Some((cur, ves, nodes)) = stack.pop() {
+                if ves.len() > max_len {
+                    continue;
+                }
+                for &ve in &vg.ports[cur] {
+                    if !usable(ve) || ves.contains(&ve) {
+                        continue;
+                    }
+                    let Some(nxt) = vg.other(ve, cur) else {
+                        continue;
+                    };
+                    if nxt == a && ves.len() >= 2 {
+                        // Found a cycle.
+                        let mut cyc = ves.clone();
+                        cyc.push(ve);
+                        let mut key = cyc.clone();
+                        key.sort_unstable();
+                        closed.push(key.clone());
+                        for &cve in &cyc {
+                            let better = match best_key.get(&cve) {
+                                None => true,
+                                Some(k) => key < *k,
+                            };
+                            if better {
+                                best_key.insert(cve, key.clone());
+                                best_cycle.insert(cve, cyc.clone());
+                            }
+                        }
+                    } else if !nodes.contains(&nxt) && ves.len() < max_len {
+                        let mut nv = ves.clone();
+                        nv.push(ve);
+                        let mut nn = nodes.clone();
+                        nn.push(nxt);
+                        stack.push((nxt, nv, nn));
+                    }
+                }
+            }
+        }
+        // Preferred orientation per vedge from its own best cycle.
+        let mut out = Vec::new();
+        for (&ve, cyc) in &best_cycle {
+            // The cycle is a vedge sequence starting and ending at the start
+            // vedge's `a`; walk it to find the node sequence.
+            let mut node_seq = Vec::with_capacity(cyc.len());
+            let mut cur = vg.vedges[cyc[0]].a;
+            node_seq.push(cur);
+            for &cve in cyc {
+                cur = vg.other(cve, cur).expect("cycle over links");
+                node_seq.push(cur);
+            }
+            // Preferred orientation: the smallest vedge id in the cycle orients
+            // from its smaller-host endpoint; the rest follow around.
+            let min_ve = *cyc.iter().min().expect("nonempty cycle");
+            let pos = cyc.iter().position(|&x| x == min_ve).expect("present");
+            let (p, q) = (node_seq[pos], node_seq[pos + 1]);
+            // Walk direction: node_seq order. Flip if the minimum vedge would
+            // go from larger host to smaller.
+            let forward = vg.host[p] < vg.host[q];
+            let my_pos = cyc.iter().position(|&x| x == ve).expect("present");
+            let (x, y) = (node_seq[my_pos], node_seq[my_pos + 1]);
+            let from = if forward { x } else { y };
+            out.push((ve, from));
+        }
+        out.sort_unstable();
+        (out, closed)
+    }
+
+    /// The level-0 virtual graph of `g`, with nothing decided yet.
+    fn level_zero_state(g: &Graph) -> (VGraph, Vec<bool>, LevelResult) {
+        let vg = level_zero(g);
+        let result = LevelResult {
+            vedge_dir: vec![None; vg.vedges.len()],
+            vnode_clock: vec![0; vg.host.len()],
+        };
+        (vg, vec![false; g.n()], result)
+    }
+
+    /// A deeper-level shaped virtual graph: 3 ports per vnode paired at
+    /// random, so it has free ports and parallel links; distinct shuffled
+    /// hosts; ~1/8 of the vnodes decided and ~1/8 of the vedges oriented.
+    fn hand_built_state(n: usize, seed: u64) -> (VGraph, Vec<bool>, LevelResult) {
+        let mut rng = Rng::seed_from(seed);
+        let mut stubs: Vec<usize> = (0..3 * n).map(|i| i / 3).collect();
+        rng.shuffle(&mut stubs);
+        let mut vedges = Vec::new();
+        let mut ports = vec![Vec::new(); n];
+        let mut add = |a: usize, b: Option<usize>| {
+            for v in std::iter::once(a).chain(b) {
+                ports[v].push(vedges.len());
+            }
+            vedges.push(VEdge {
+                a,
+                b,
+                path: Vec::new(),
+                inner: Vec::new(),
+            });
+        };
+        for pair in stubs.chunks(2) {
+            match *pair {
+                [a, b] if a != b => add(a, Some(b)),
+                [a, b] => {
+                    add(a, None);
+                    add(b, None);
+                }
+                [a] => add(a, None),
+                _ => unreachable!("chunks of 2"),
+            }
+        }
+        let decided: Vec<bool> = (0..n).map(|_| rng.index(8) == 0).collect();
+        let vedge_dir = (0..vedges.len())
+            .map(|_| (rng.index(8) == 0).then_some((true, 1)))
+            .collect();
+        let vg = VGraph {
+            host: rng.permutation(n),
+            ports,
+            vedges,
+        };
+        let result = LevelResult {
+            vedge_dir,
+            vnode_clock: vec![0; n],
+        };
+        (vg, decided, result)
+    }
+
+    /// Checks [`short_cycle_orientations`] against the all-starts oracle
+    /// on the vedges `starts` selects: same `(vedge, from)` pairs, the
+    /// same cycles, and every cycle closed exactly once, walked from its
+    /// smallest vedge. Returns the number of cycles compared.
+    fn assert_matches_oracle(
+        (vg, decided, result): &(VGraph, Vec<bool>, LevelResult),
+        max_len: usize,
+        starts: impl Fn(usize) -> bool + Copy,
+    ) -> usize {
+        let (want, oracle_closed) = all_starts_oracle(vg, decided, result, max_len, starts);
+        let selected = |pairs: Vec<(usize, usize)>| -> Vec<(usize, usize)> {
+            pairs.into_iter().filter(|&(ve, _)| starts(ve)).collect()
+        };
+        assert_eq!(
+            selected(short_cycle_orientations(vg, decided, result, max_len)),
+            selected(want),
+            "(vedge, from) pairs differ from the oracle"
+        );
+
+        let mut closed = Vec::new();
+        for_each_short_cycle(vg, decided, result, max_len, |ves, nodes| {
+            assert!((3..=max_len + 1).contains(&ves.len()));
+            assert_eq!(nodes.len(), ves.len() + 1);
+            assert_eq!(nodes[0], nodes[ves.len()]);
+            assert_eq!(Some(&ves[0]), ves.iter().min());
+            let mut key = ves.to_vec();
+            key.sort_unstable();
+            closed.push(key);
+        });
+        let total = closed.len();
+        closed.sort_unstable();
+        closed.dedup();
+        assert_eq!(closed.len(), total, "a cycle was closed more than once");
+        closed.retain(|key| key.iter().any(|&ve| starts(ve)));
+        let mut oracle = oracle_closed;
+        oracle.sort_unstable();
+        oracle.dedup();
+        assert_eq!(closed, oracle, "cycle sets differ from the oracle");
+        closed.len()
+    }
+
+    /// Oracle starts: every k-th vedge, with k chosen so that the oracle
+    /// walks at most ~2^15 paths (up to 2^(max_len - 1) per start on 3
+    /// ports).
+    fn sampled(vg: &VGraph, max_len: usize) -> impl Fn(usize) -> bool + Copy {
+        let stride = (vg.vedges.len() << (max_len - 1) >> 15).max(1);
+        move |ve| ve % stride == 0
+    }
+
+    #[test]
+    fn short_cycles_match_all_starts_oracle_on_regular_graphs() {
+        let mut cycles = 0;
+        for (d, n, seeds) in [
+            (3, 16, 0..4),
+            (3, 64, 0..4),
+            (3, 256, 0..3),
+            (3, 1024, 0..2),
+            (3, 4096, 0..2),
+            (4, 16, 0..4),
+            (4, 64, 0..4),
+            (4, 256, 0..3),
+            (4, 1024, 0..2),
+        ] {
+            for seed in seeds {
+                let mut rng = Rng::seed_from(seed);
+                let g = gen::random_regular(n, d, &mut rng).expect("regular graph");
+                let state = level_zero_state(&g);
+                for r in [2, 3] {
+                    cycles += assert_matches_oracle(&state, 6 * r, sampled(&state.0, 6 * r));
+                }
+            }
+        }
+        assert!(cycles > 0);
+    }
+
+    #[test]
+    fn short_cycles_match_all_starts_oracle_on_structured_graphs() {
+        let lift = localavg_lowerbound::families::generators()
+            .into_iter()
+            .find(|f| f.name() == "lb/lift/1")
+            .expect("lb/lift/1 registered");
+        let mut graphs = vec![gen::petersen()];
+        graphs.extend((4..=6).map(gen::complete));
+        graphs.extend((3..=6).map(gen::hypercube));
+        graphs.extend([lift.build(288, 1).unwrap(), lift.build(1000, 2).unwrap()]);
+        for g in &graphs {
+            let state = level_zero_state(g);
+            for r in [2, 3] {
+                assert_matches_oracle(&state, 6 * r, sampled(&state.0, 6 * r));
+            }
+        }
+    }
+
+    #[test]
+    fn short_cycles_match_all_starts_oracle_on_deeper_level_shapes() {
+        let (mut parallel, mut free) = (0, 0);
+        for (n, seed) in [
+            (8, 0),
+            (12, 1),
+            (20, 2),
+            (40, 3),
+            (64, 4),
+            (200, 5),
+            (500, 6),
+        ] {
+            let state = hand_built_state(n, seed);
+            let mut pairs = HashSet::new();
+            for ve in &state.0.vedges {
+                match ve.b {
+                    Some(b) => parallel += usize::from(!pairs.insert((ve.a.min(b), ve.a.max(b)))),
+                    None => free += 1,
+                }
+            }
+            for max_len in [2, 3, 6, 12, 18] {
+                assert_matches_oracle(&state, max_len, sampled(&state.0, max_len));
+            }
+        }
+        assert!(free > 0, "no free ports exercised");
+        assert!(parallel > 0, "no parallel links exercised");
     }
 }
