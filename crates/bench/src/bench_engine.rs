@@ -22,10 +22,9 @@
 
 use crate::cell::{self, CellKey};
 use crate::emit::json_escape;
-use crate::generators;
 use crate::serve::protocol::Json;
-use crate::sweep::{self, SweepError};
-use localavg_core::algo::{registry, Exec, RunSpec, TranscriptPolicy, Workspace};
+use crate::sweep::{self, SweepError, SweepSpec};
+use localavg_core::algo::{Exec, RunSpec, TranscriptPolicy, Workspace};
 use localavg_graph::Graph;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -151,12 +150,12 @@ fn exec_label(exec: Exec) -> String {
     }
 }
 
-/// Runs the benchmark grid.
+/// Runs the benchmark grid, expanded like a one-seed sweep
+/// ([`SweepSpec::cells_with`], including its domain filter).
 ///
 /// # Errors
 ///
-/// Fails on unknown registry keys or graph-construction failures, with
-/// the same error type as the sweep engine.
+/// The sweep's [`SweepError`]s: expansion or graph-construction failures.
 pub fn run(spec: &BenchSpec) -> Result<BenchReport, SweepError> {
     run_with_file(spec, None)
 }
@@ -173,96 +172,76 @@ pub fn run_with_file(
     spec: &BenchSpec,
     file: Option<&sweep::FileGraph>,
 ) -> Result<BenchReport, SweepError> {
-    for name in &spec.algorithms {
-        if registry().get(name).is_none() {
-            return Err(SweepError::UnknownAlgorithm {
-                name: name.clone(),
-                suggestion: registry().suggest(name).map(str::to_string),
-            });
-        }
-    }
-    for name in &spec.generators {
-        if file.is_some_and(|f| f.family == name.as_str()) {
-            continue;
-        }
-        if generators::registry().get(name).is_none() {
-            return Err(SweepError::UnknownGenerator {
-                name: name.clone(),
-                suggestion: generators::registry().suggest(name).map(str::to_string),
-            });
-        }
-    }
+    let grid = SweepSpec {
+        algorithms: spec.algorithms.clone(),
+        generators: spec.generators.clone(),
+        sizes: spec.sizes.clone(),
+        seeds: 1,
+        master_seed: spec.master_seed,
+        params: spec.params.clone(),
+    };
     let grid_start = Instant::now();
-    let algos = sweep::configure(&spec.algorithms, &spec.params)?;
+    let (planned, algos) = grid.expand(file)?;
     let mut cells = Vec::new();
-    for gname in &spec.generators {
-        for &n in &spec.sizes {
-            let mut owned: Option<Graph> = None;
-            let (g, graph_build_ms): (&Graph, f64) = match file {
-                Some(f) if f.family == gname.as_str() => (&f.graph, f.load_ms),
-                _ => {
-                    let family = generators::registry().get(gname).expect("validated key");
-                    let build_start = Instant::now();
-                    let built = family
-                        .build(n, sweep::graph_seed(spec.master_seed, gname, n))
-                        .map_err(|e| SweepError::GraphBuild {
-                            generator: gname.clone(),
-                            n,
-                            message: format!("{e:?}"),
-                        })?;
-                    let ms = build_start.elapsed().as_secs_f64() * 1e3;
-                    (&*owned.insert(built), ms)
-                }
-            };
-            for aname in &spec.algorithms {
-                let algo = algos.get(aname).expect("validated key");
-                if algo.problem().min_degree() > g.min_degree() {
-                    continue;
-                }
-                let seed = cell::graph_seed(spec.master_seed ^ 0xBE7C, aname, n);
-                for &exec in &spec.executors {
-                    let run_spec = RunSpec::new(seed)
-                        .with_exec(exec)
-                        .with_transcript(spec.policy);
-                    let mut ws = Workspace::new();
-                    let warm = algo.execute_in(g, &run_spec, &mut ws);
-                    let rounds = warm.worst_case();
-                    let mut best = f64::INFINITY;
-                    let mut total = 0.0;
-                    for _ in 0..spec.reps.max(1) {
-                        if !spec.reuse_workspace {
-                            // Fresh arenas every repetition — the cost
-                            // every run paid before `Workspace` existed.
-                            ws = Workspace::new();
-                        }
-                        let t0 = Instant::now();
-                        let run = algo.execute_in(g, &run_spec, &mut ws);
-                        let ms = t0.elapsed().as_secs_f64() * 1e3;
-                        assert_eq!(
-                            run.worst_case(),
-                            rounds,
-                            "non-deterministic round count in a fixed-seed benchmark at {}",
-                            CellKey::new(gname.clone(), n, 0, aname.clone())
-                        );
-                        best = best.min(ms);
-                        total += ms;
+    // Expansion order is (generator, n, algorithm): one instance per run
+    // of equal (generator, n).
+    for pair in planned.chunk_by(|a, b| (a.generator, a.n) == (b.generator, b.n)) {
+        let (gname, n) = (pair[0].generator, pair[0].n);
+        let mut owned: Option<Graph> = None;
+        let (g, graph_build_ms): (&Graph, f64) = match file {
+            Some(f) if f.family == gname => (&f.graph, f.load_ms),
+            _ => {
+                let build_start = Instant::now();
+                let built = cell::build_instance(gname, n, spec.master_seed)?;
+                let ms = build_start.elapsed().as_secs_f64() * 1e3;
+                (&*owned.insert(built), ms)
+            }
+        };
+        for c in pair {
+            let algo = &algos[c.algorithm];
+            let seed = cell::bench_seed(spec.master_seed, c.algorithm, n);
+            for &exec in &spec.executors {
+                let run_spec = RunSpec::new(seed)
+                    .with_exec(exec)
+                    .with_transcript(spec.policy);
+                let mut ws = Workspace::new();
+                let warm = algo.execute_in(g, &run_spec, &mut ws);
+                let rounds = warm.worst_case();
+                let mut best = f64::INFINITY;
+                let mut total = 0.0;
+                for _ in 0..spec.reps.max(1) {
+                    if !spec.reuse_workspace {
+                        // Fresh arenas every repetition — the cost
+                        // every run paid before `Workspace` existed.
+                        ws = Workspace::new();
                     }
-                    cells.push(BenchCell {
-                        algorithm: aname.clone(),
-                        generator: gname.clone(),
-                        n,
-                        nodes: g.n(),
-                        edges: g.m(),
-                        graph_build_ms,
-                        graph_bytes: g.memory_bytes(),
-                        executor: exec_label(exec),
-                        reps: spec.reps.max(1),
-                        best_ms: best,
-                        mean_ms: total / spec.reps.max(1) as f64,
-                        total_ms: total,
+                    let t0 = Instant::now();
+                    let run = algo.execute_in(g, &run_spec, &mut ws);
+                    let ms = t0.elapsed().as_secs_f64() * 1e3;
+                    assert_eq!(
+                        run.worst_case(),
                         rounds,
-                    });
+                        "non-deterministic round count in a fixed-seed benchmark at {}",
+                        c.key()
+                    );
+                    best = best.min(ms);
+                    total += ms;
                 }
+                cells.push(BenchCell {
+                    algorithm: c.algorithm.to_string(),
+                    generator: gname.to_string(),
+                    n,
+                    nodes: g.n(),
+                    edges: g.m(),
+                    graph_build_ms,
+                    graph_bytes: g.memory_bytes(),
+                    executor: exec_label(exec),
+                    reps: spec.reps.max(1),
+                    best_ms: best,
+                    mean_ms: total / spec.reps.max(1) as f64,
+                    total_ms: total,
+                    rounds,
+                });
             }
         }
     }
@@ -600,6 +579,38 @@ mod tests {
         assert!(matches!(
             run(&spec),
             Err(SweepError::UnknownGenerator { .. })
+        ));
+    }
+
+    #[test]
+    fn tree_only_algorithms_are_skipped_on_cyclic_families() {
+        let mut spec = tiny_spec();
+        spec.algorithms = vec!["mis/luby".into(), "mis/tree-rc".into()];
+        spec.generators = vec!["regular/8".into(), "tree/random".into()];
+        spec.executors = vec![Exec::Sequential];
+        let report = run(&spec).unwrap();
+        let pairs: Vec<(&str, &str)> = report
+            .cells
+            .iter()
+            .map(|c| (c.algorithm.as_str(), c.generator.as_str()))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                ("mis/luby", "regular/8"),
+                ("mis/luby", "tree/random"),
+                ("mis/tree-rc", "tree/random"),
+            ]
+        );
+        // Nothing left to time: the sweep's typed error, not a panic.
+        spec.algorithms = vec!["mis/tree-rc".into()];
+        spec.generators = vec!["regular/8".into()];
+        assert!(matches!(
+            run(&spec),
+            Err(SweepError::NotATree {
+                algorithm: "mis/tree-rc",
+                ..
+            })
         ));
     }
 

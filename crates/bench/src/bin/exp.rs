@@ -63,7 +63,7 @@
 //! cell schema — byte-identical to what `exp sweep` would emit for the
 //! same tuples under the daemon's `--master-seed`.
 
-use localavg_bench::cell::CellKey;
+use localavg_bench::cell::{self, CellKey};
 use localavg_bench::cli::{flag_list, flag_value, flag_values};
 use localavg_bench::experiments::{self, Scale};
 use localavg_bench::serve;
@@ -199,16 +199,19 @@ fn splice_graph_file(
 }
 
 fn run_single_algo(args: &[String], name: &str) {
-    let Some(algo) = registry().get(name) else {
-        eprint!("error: unknown algorithm `{name}`");
-        match registry().suggest(name) {
-            Some(close) => eprintln!(" — did you mean `{close}`?"),
-            None => eprintln!(),
-        }
-        eprintln!("hint: `--list` prints every registered algorithm");
-        std::process::exit(2);
-    };
     let overrides = parse_params(args);
+    let kvs: Vec<(String, String)> = overrides
+        .iter()
+        .filter(|p| p.algorithm == name)
+        .map(|p| (p.key.clone(), p.value.clone()))
+        .collect();
+    let algo = cell::algorithm(name, &kvs).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        if matches!(e, sweep::SweepError::UnknownAlgorithm { .. }) {
+            eprintln!("hint: `--list` prints every registered algorithm");
+        }
+        std::process::exit(2);
+    });
     if let Some(other) = overrides.iter().find(|p| p.algorithm != name) {
         eprintln!(
             "error: --param {}:{}={} does not apply to `{name}`",
@@ -216,23 +219,13 @@ fn run_single_algo(args: &[String], name: &str) {
         );
         std::process::exit(2);
     }
-    let kvs: Vec<(&str, &str)> = overrides
-        .iter()
-        .map(|p| (p.key.as_str(), p.value.as_str()))
-        .collect();
-    let algo = algo.with_params(&kvs).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
     let n = parse_usize(args, "--n", 256);
     let d = parse_usize(args, "--d", 4);
     let seed = parse_usize(args, "--seed", 1) as u64;
-    if algo.problem().min_degree() > d {
-        eprintln!(
-            "error: {} requires min degree {} (got --d {d})",
-            algo.name(),
-            algo.problem().min_degree()
-        );
+    // `*/tree-rc` is driven on a random tree below, so only the
+    // minimum-degree half of the domain rule can fail here.
+    if let Err(e) = cell::check_domain(&*algo, &format!("regular/{d}"), n, d, || true) {
+        eprintln!("error: {e} (got --d {d})");
         std::process::exit(2);
     }
     let mut rng = Rng::seed_from(seed ^ 0xD15EA5E);
@@ -479,21 +472,12 @@ fn run_gen(args: &[String]) {
         eprintln!("error: --out FILE is required");
         std::process::exit(2);
     };
-    let Some(family) = generators::registry().get(&gname) else {
-        eprint!("error: unknown generator `{gname}`");
-        match generators::registry().suggest(&gname) {
-            Some(close) => eprintln!(" — did you mean `{close}`?"),
-            None => eprintln!(),
-        }
-        std::process::exit(2);
-    };
     let build_start = Instant::now();
-    let g = family
-        .build(n, localavg_bench::cell::graph_seed(master_seed, &gname, n))
-        .unwrap_or_else(|e| {
-            eprintln!("error: generator `{gname}` failed at n={n}: {e:?}");
-            std::process::exit(1);
-        });
+    let g = cell::build_instance(&gname, n, master_seed).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        let build_failed = matches!(e, sweep::SweepError::GraphBuild { .. });
+        std::process::exit(if build_failed { 1 } else { 2 });
+    });
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let write_start = Instant::now();
     let written = localavg_graph::io::write_graph_to_path(&out, &g).unwrap_or_else(|e| {
@@ -517,7 +501,7 @@ fn run_gen(args: &[String]) {
     );
     println!(
         "  family     {}   (use: exp sweep --graph-file {out})",
-        localavg_bench::cell::file_family(hash)
+        cell::file_family(hash)
     );
     if let Some(rss) = peak_rss_bytes() {
         println!(
@@ -1030,7 +1014,7 @@ fn run_import(args: &[String]) {
     );
     println!(
         "  family     {}   (use: exp sweep --graph-file {out})",
-        localavg_bench::cell::file_family(hash)
+        cell::file_family(hash)
     );
 }
 

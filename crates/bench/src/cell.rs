@@ -1,4 +1,5 @@
-//! The canonical cell identity shared by every measurement front end.
+//! The canonical cell identity, and the one per-cell path every
+//! measurement front end runs.
 //!
 //! A *cell* — the unit of work everywhere in this crate — is fully
 //! determined by the tuple `(family, n, seed, algo, params, policy)`
@@ -13,17 +14,28 @@
 //!   iterated-SplitMix64 digest ([`key_tag`]) the seeding discipline
 //!   uses;
 //! * [`graph_seed`] / [`algo_seed`] are the content-addressed seed
-//!   derivations (DESIGN.md §7), moved here from the sweep engine so
-//!   that `exp sweep`, `exp bench-engine`, `exp fuzz`, and `exp serve`
-//!   provably run every cell from the same substreams.
+//!   derivations (DESIGN.md §7). `exp sweep` and `exp serve` use both;
+//!   `exp fuzz` and `exp bench-engine` share the graph seeds only (fuzz
+//!   runs its sampled seed verbatim, bench-engine uses [`bench_seed`]).
+//!
+//! Every per-cell decision lives here once, for all four front ends:
+//! [`algorithm`], [`generator`], the domain rule [`check_domain`],
+//! [`build_instance`] and the verified run [`measure`].
 //!
 //! Canonicalization rules: parameter overrides are sorted by key (the
 //! CLI/protocol order never matters), and the policy is rendered by its
 //! stable [`TranscriptPolicy::label`]. Two requests that differ only in
 //! param order or policy spelling therefore collapse to one cache entry.
 
-use localavg_core::algo::TranscriptPolicy;
+use crate::generators;
+use crate::sweep::{CellResult, SweepCell, SweepError};
+use localavg_core::algo::{
+    registry, DynAlgorithm, RunSpec, TranscriptPolicy, ViolationError, Workspace,
+};
+use localavg_core::metrics::CompletionTimes;
+use localavg_graph::gen::NamedGenerator;
 use localavg_graph::rng::{splitmix64, Rng};
+use localavg_graph::Graph;
 use std::fmt;
 
 /// Hashes a registry key (or any canonical string) into a substream tag:
@@ -58,6 +70,152 @@ pub fn algo_seed(master: u64, family: &str, n: usize, algo: &str, seed: u64) -> 
         .fork(key_tag(algo))
         .fork(seed)
         .next_u64()
+}
+
+/// The run seed `exp bench-engine` times an `(algo, n)` pair with,
+/// unchanged so committed `BENCH_*.json` round counts stay comparable.
+pub fn bench_seed(master: u64, algo: &str, n: usize) -> u64 {
+    graph_seed(master ^ 0xBE7C, algo, n)
+}
+
+/// Resolves an algorithm registry key and applies `params` (a
+/// [`CellKey::params`] list) over its defaults.
+///
+/// # Errors
+///
+/// [`SweepError::UnknownAlgorithm`] (with the closest registered key)
+/// or [`SweepError::Param`] when the algorithm rejects a parameter.
+pub fn algorithm(
+    name: &str,
+    params: &[(String, String)],
+) -> Result<Box<dyn DynAlgorithm>, SweepError> {
+    let kvs: Vec<(&str, &str)> = params
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    registry()
+        .get(name)
+        .ok_or_else(|| SweepError::UnknownAlgorithm {
+            name: name.to_string(),
+            suggestion: registry().suggest(name).map(str::to_string),
+        })?
+        .with_params(&kvs)
+        .map_err(|e| SweepError::Param {
+            message: e.to_string(),
+        })
+}
+
+/// Resolves a generator key in the composed [`generators::registry`].
+///
+/// # Errors
+///
+/// [`SweepError::UnknownGenerator`] with the closest registered key.
+pub fn generator(name: &str) -> Result<&'static NamedGenerator, SweepError> {
+    generators::registry()
+        .get(name)
+        .ok_or_else(|| SweepError::UnknownGenerator {
+            name: name.to_string(),
+            suggestion: generators::registry().suggest(name).map(str::to_string),
+        })
+}
+
+/// The domain rule: whether `algo` may run on `generator` at size `n`.
+/// A registry family passes its guarantee, a built graph its realized
+/// values; `is_tree` is only called for forest-only algorithms.
+///
+/// # Errors
+///
+/// [`SweepError::MinDegree`], else [`SweepError::NotATree`].
+pub fn check_domain(
+    algo: &dyn DynAlgorithm,
+    generator: &str,
+    n: usize,
+    min_degree: usize,
+    is_tree: impl FnOnce() -> bool,
+) -> Result<(), SweepError> {
+    let need = algo.problem().min_degree();
+    if need > min_degree {
+        return Err(SweepError::MinDegree {
+            algorithm: algo.name(),
+            generator: generator.to_string(),
+            n,
+            need,
+            have: min_degree,
+        });
+    }
+    if algo.requires_tree() && !is_tree() {
+        return Err(SweepError::NotATree {
+            algorithm: algo.name(),
+            generator: generator.to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// Builds the `(family, n)` instance from its [`graph_seed`].
+///
+/// # Errors
+///
+/// [`SweepError::UnknownGenerator`] or [`SweepError::GraphBuild`].
+pub fn build_instance(family: &str, n: usize, master_seed: u64) -> Result<Graph, SweepError> {
+    generator(family)?
+        .build(n, graph_seed(master_seed, family, n))
+        .map_err(|e| SweepError::GraphBuild {
+            generator: family.to_string(),
+            n,
+            message: format!("{e:?}"),
+        })
+}
+
+/// One verified run of a cell (see [`measure`]).
+#[derive(Debug, Clone)]
+pub struct Measured {
+    /// The cell's emitted metrics.
+    pub result: CellResult,
+    /// Completion times (the sweep pools them per group).
+    pub times: CompletionTimes,
+    /// Per-node bits sent, `None` when the run was not audited.
+    pub node_bits_sent: Option<Vec<u64>>,
+}
+
+/// Runs `algo` on `g` in `ws`, verifies the output, and measures the
+/// Definition 1 metrics of `cell`.
+///
+/// # Errors
+///
+/// The [`ViolationError`] of an invalid output (an algorithm bug).
+pub fn measure(
+    cell: SweepCell,
+    algo: &dyn DynAlgorithm,
+    g: &Graph,
+    spec: &RunSpec,
+    ws: &mut Workspace,
+) -> Result<Measured, ViolationError> {
+    let mut run = algo.execute_in(g, spec, ws);
+    run.verify(g)?;
+    let times = run.completion_times(g);
+    let result = CellResult {
+        cell,
+        nodes: g.n(),
+        edges: g.m(),
+        min_degree: g.min_degree(),
+        max_degree: g.degrees().max().unwrap_or(0),
+        node_averaged: times.node_mean(),
+        edge_averaged: times.edge_mean(),
+        edge_averaged_one_endpoint: times.edge_one_endpoint_mean(),
+        node_worst: times.node_max(),
+        rounds: run.worst_case(),
+        peak_message_bits: run.transcript.peak_message_bits(),
+    };
+    let node_bits_sent = run
+        .transcript
+        .audited()
+        .then(|| std::mem::take(&mut run.transcript.node_bits_sent));
+    Ok(Measured {
+        result,
+        times,
+        node_bits_sent,
+    })
 }
 
 /// The pseudo-family key of a file-backed instance: `file/<hash>`, where
@@ -158,11 +316,6 @@ impl CellKey {
         key_tag(&self.canonical())
     }
 
-    /// The instance seed of this cell's `(family, n)` graph.
-    pub fn graph_seed(&self, master: u64) -> u64 {
-        graph_seed(master, &self.family, self.n)
-    }
-
     /// The run seed of this cell's algorithm execution.
     pub fn algo_seed(&self, master: u64) -> u64 {
         algo_seed(master, &self.family, self.n, &self.algo, self.seed)
@@ -236,7 +389,6 @@ mod tests {
         // engine re-exports; the golden bytes pin this indirectly, this
         // test pins it directly.
         let key = CellKey::new("regular/4", 64, 2, "mis/luby");
-        assert_eq!(key.graph_seed(7), graph_seed(7, "regular/4", 64));
         assert_eq!(
             key.algo_seed(7),
             algo_seed(7, "regular/4", 64, "mis/luby", 2)

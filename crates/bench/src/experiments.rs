@@ -8,6 +8,7 @@
 //! the sub-second range (used by `cargo bench` and tests); `Scale::Full`
 //! produces the EXPERIMENTS.md numbers.
 
+use crate::cell;
 use crate::table::{f2, Table};
 use localavg_core::algo::{registry, AlgoRun, Algorithm, DetRulingSpec, RulingDet, RunSpec};
 use localavg_core::metrics::{CompletionTimes, RunAggregate};
@@ -698,17 +699,18 @@ pub fn e17_registry_sweep(scale: Scale) -> Table {
     let g = regular(n, 4, 19);
     let tree = gen::random_tree(n, &mut Rng::seed_from(19 ^ 0xD15EA5E));
     for a in registry().iter() {
-        if a.problem().min_degree() > g.min_degree() {
-            t.note(format!(
-                "{} skipped: needs min degree {}",
-                a.name(),
-                a.problem().min_degree()
-            ));
-            continue;
-        }
         // Tree-restricted algorithms run on a same-size random tree
         // (and are flagged as such in the notes below).
-        let g = if a.requires_tree() { &tree } else { &g };
+        let (g, family) = if a.requires_tree() {
+            (&tree, "tree/random")
+        } else {
+            (&g, "regular/4")
+        };
+        if let Err(e) = cell::check_domain(a, family, n, g.min_degree(), || analysis::is_forest(g))
+        {
+            t.note(format!("{} skipped: {e}", a.name()));
+            continue;
+        }
         let run = a.execute(g, &RunSpec::new(7));
         run.verify(g).expect("registered algorithm must be valid");
         let rep = run.report(g);

@@ -48,19 +48,19 @@
 //! tuple, ready to paste into a regression test.
 //!
 //! Everything is a pure function of `FuzzSpec`: case `i` draws from
-//! `Rng::seed_from(master_seed).fork(i)`, and instances reuse the
-//! sweep's content-addressed [`sweep::graph_seed`], so a reported tuple
-//! replays exactly.
+//! `Rng::seed_from(master_seed).fork(i)`, and instances come from the
+//! sweep's content-addressed [`cell::build_instance`], so a reported
+//! tuple replays exactly.
 
-use crate::cell::CellKey;
-use crate::generators;
-use crate::sweep::{self, SweepError};
+use crate::cell::{self, CellKey};
+use crate::sweep::SweepError;
 use localavg_core::algo::{
     registry, DynAlgorithm, Exec, RunSpec, Solution, TranscriptPolicy, Workspace,
 };
 use localavg_core::check;
 use localavg_core::metrics::Distribution;
-use localavg_graph::analysis::Orientation;
+use localavg_graph::analysis::{is_forest, Orientation};
+use localavg_graph::gen::NamedGenerator;
 use localavg_graph::io;
 use localavg_graph::rng::Rng;
 use localavg_graph::Graph;
@@ -361,59 +361,27 @@ struct Session {
 }
 
 impl Session {
-    fn ensure_graph(&mut self, generator: &'static str, n: usize) -> Result<(), SweepError> {
-        if !self.graphs.contains_key(&(generator, n)) {
-            let g = generators::registry()
-                .get(generator)
-                .expect("validated key")
-                .build(n, sweep::graph_seed(self.master_seed, generator, n))
-                .map_err(|e| SweepError::GraphBuild {
-                    generator: generator.to_string(),
-                    n,
-                    message: format!("{e:?}"),
-                })?;
-            self.graphs.insert((generator, n), g);
-        }
-        Ok(())
-    }
-
     /// Runs every differential check for one cell. `Ok(stats)` reports
     /// which optional layers fired; `Err` carries the failure message.
     fn check_cell(&mut self, cell: &FuzzCell) -> Result<(bool, bool), String> {
-        let kvs: Vec<(&str, &str)> = cell
-            .params
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let algo = registry()
-            .get(cell.algorithm)
-            .ok_or_else(|| format!("unknown algorithm `{}`", cell.algorithm))?
-            .with_params(&kvs)
+        let algo = cell::algorithm(cell.algorithm, &cell.params)
             .map_err(|e| format!("param rejection: {e}"))?;
         let (generator, n) = (cell.generator, cell.n);
-        self.ensure_graph(generator, n)
-            .map_err(|e| format!("graph build failed: {e}"))?;
+        if !self.graphs.contains_key(&(generator, n)) {
+            let g = cell::build_instance(generator, n, self.master_seed)
+                .map_err(|e| format!("graph build failed: {e}"))?;
+            self.graphs.insert((generator, n), g);
+        }
         // Split borrows: the cached instance is read-only while the
         // workspace arenas mutate.
         let Session {
             graphs, workspace, ..
         } = self;
         let g = &graphs[&(generator, n)];
-        if algo.problem().min_degree() > g.min_degree() {
-            return Err(format!(
-                "domain filter breach: {} on {} (min degree {} < {})",
-                cell.algorithm,
-                cell.generator,
-                g.min_degree(),
-                algo.problem().min_degree()
-            ));
-        }
-        if algo.requires_tree() && !localavg_graph::analysis::is_forest(g) {
-            return Err(format!(
-                "domain filter breach: {} only runs on forests but {} built a cyclic graph",
-                cell.algorithm, cell.generator
-            ));
-        }
+        // The sampler applied the rule to the family's guarantee; the
+        // built instance must satisfy it too.
+        cell::check_domain(&*algo, generator, n, g.min_degree(), || is_forest(g))
+            .map_err(|e| format!("domain filter breach: {e}"))?;
         let fast_spec = RunSpec::new(cell.seed)
             .with_exec(cell.exec())
             .with_transcript(cell.policy);
@@ -480,7 +448,7 @@ impl Session {
         //    live counter after every round; it must replay exactly from
         //    the per-node termination ledger.
         let ledger = &canon.transcript.live_after_round;
-        if ledger.len() != canon.transcript.rounds as usize + 1 {
+        if ledger.len() != canon.transcript.rounds + 1 {
             return Err(format!(
                 "live ledger has {} entries for {} rounds",
                 ledger.len(),
@@ -550,30 +518,29 @@ impl Session {
 }
 
 /// The compatible sampling domain: one entry per (family, size) pair
-/// with the algorithms whose domain requirement the family guarantees.
-/// Pairs with no eligible algorithm are dropped here, so sampling can
-/// never land on an empty choice.
-type Domain = Vec<(&'static str, usize, Vec<&'static dyn DynAlgorithm>)>;
+/// with the keys of the algorithms [`cell::check_domain`] admits on the
+/// family's guarantee. Pairs with no eligible algorithm are dropped
+/// here, so sampling can never land on an empty choice.
+type Domain = Vec<(&'static str, usize, Vec<&'static str>)>;
 
 fn sample_domain(
     spec: &FuzzSpec,
-    gens: &[&'static str],
-    algos: &[&'static dyn DynAlgorithm],
+    gens: &[&'static NamedGenerator],
+    algos: &[Box<dyn DynAlgorithm>],
 ) -> Domain {
     let mut domain = Vec::new();
-    for &generator in gens {
-        let fam = generators::registry().get(generator).expect("validated");
+    for fam in gens {
         for &n in &spec.sizes {
-            let eligible: Vec<&'static dyn DynAlgorithm> = algos
+            let eligible: Vec<&'static str> = algos
                 .iter()
-                .copied()
                 .filter(|a| {
-                    a.problem().min_degree() <= fam.min_degree(n)
-                        && (!a.requires_tree() || fam.is_tree())
+                    cell::check_domain(&***a, fam.name(), n, fam.min_degree(n), || fam.is_tree())
+                        .is_ok()
                 })
+                .map(|a| a.name())
                 .collect();
             if !eligible.is_empty() {
-                domain.push((generator, n, eligible));
+                domain.push((fam.name(), n, eligible));
             }
         }
     }
@@ -584,8 +551,8 @@ fn sample_domain(
 fn sample_cell(spec: &FuzzSpec, domain: &Domain, case: u64) -> FuzzCell {
     let mut rng = Rng::seed_from(spec.master_seed).fork(0xF0CC_u64 ^ case);
     let (generator, n, eligible) = &domain[rng.index(domain.len())];
-    let algo = eligible[rng.index(eligible.len())];
-    let pool = param_pool(algo.name());
+    let algorithm = eligible[rng.index(eligible.len())];
+    let pool = param_pool(algorithm);
     let params = if !pool.is_empty() && rng.chance(0.5) {
         let (key, values) = pool[rng.index(pool.len())];
         vec![(key.to_string(), values[rng.index(values.len())].to_string())]
@@ -601,7 +568,7 @@ fn sample_cell(spec: &FuzzSpec, domain: &Domain, case: u64) -> FuzzCell {
     FuzzCell {
         generator,
         n: *n,
-        algorithm: algo.name(),
+        algorithm,
         params,
         policy,
         threads,
@@ -694,30 +661,16 @@ pub fn run(spec: &FuzzSpec) -> Result<FuzzReport, SweepError> {
     {
         return Err(SweepError::EmptyAxis);
     }
-    let mut algos: Vec<&'static dyn DynAlgorithm> = Vec::new();
-    for name in &spec.algorithms {
-        match registry().get(name) {
-            Some(a) => algos.push(a),
-            None => {
-                return Err(SweepError::UnknownAlgorithm {
-                    name: name.clone(),
-                    suggestion: registry().suggest(name).map(str::to_string),
-                })
-            }
-        }
-    }
-    let mut gens: Vec<&'static str> = Vec::new();
-    for name in &spec.generators {
-        match generators::registry().get(name) {
-            Some(g) => gens.push(g.name()),
-            None => {
-                return Err(SweepError::UnknownGenerator {
-                    name: name.clone(),
-                    suggestion: generators::registry().suggest(name).map(str::to_string),
-                })
-            }
-        }
-    }
+    let algos = spec
+        .algorithms
+        .iter()
+        .map(|name| cell::algorithm(name, &[]))
+        .collect::<Result<Vec<_>, _>>()?;
+    let gens = spec
+        .generators
+        .iter()
+        .map(|name| cell::generator(name))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut session = Session {
         graphs: BTreeMap::new(),
@@ -743,7 +696,7 @@ pub fn run(spec: &FuzzSpec) -> Result<FuzzReport, SweepError> {
             });
         }
         let cell = FuzzCell {
-            generator: gens[0],
+            generator: gens[0].name(),
             n: spec.sizes[0],
             algorithm: algos[0].name(),
             params: exact.params.clone(),
@@ -816,16 +769,16 @@ mod tests {
         assert!(!report.per_algorithm.is_empty());
     }
 
-    fn resolve(spec: &FuzzSpec) -> (Vec<&'static str>, Vec<&'static dyn DynAlgorithm>) {
+    fn resolve(spec: &FuzzSpec) -> (Vec<&'static NamedGenerator>, Vec<Box<dyn DynAlgorithm>>) {
         let gens = spec
             .generators
             .iter()
-            .map(|g| generators::registry().get(g).unwrap().name())
+            .map(|g| cell::generator(g).unwrap())
             .collect();
         let algos = spec
             .algorithms
             .iter()
-            .map(|a| registry().get(a).unwrap())
+            .map(|a| cell::algorithm(a, &[]).unwrap())
             .collect();
         (gens, algos)
     }
@@ -876,7 +829,7 @@ mod tests {
         for case in 0..512 {
             let cell = sample_cell(&spec, &domain, case);
             if cell.algorithm.ends_with("/tree-rc") {
-                let fam = generators::registry().get(cell.generator).unwrap();
+                let fam = cell::generator(cell.generator).unwrap();
                 assert!(
                     fam.is_tree(),
                     "{} sampled on {}",

@@ -7,13 +7,12 @@
 //! per submitted cell; each worker thread runs [`Pool::worker_loop`]
 //! with a private reusable [`Workspace`] until the queue closes.
 //!
-//! Execution reproduces the sweep engine's cell semantics exactly —
-//! same registries, same content-addressed seeds
-//! ([`CellKey::graph_seed`] / [`CellKey::algo_seed`]), same domain
-//! filter, same verified metrics — and renders the result through
-//! [`crate::emit::cell_json`], so a served line is byte-identical to
-//! the same cell's line in an `exp sweep` report (the serve goldens
-//! pin this).
+//! Execution runs the sweep engine's own cell path — the [`crate::cell`]
+//! resolvers, domain rule, instance build and measured run, with the
+//! same content-addressed seeds ([`CellKey::algo_seed`]) — and renders
+//! the result through [`crate::emit::cell_json`], so a served line is
+//! byte-identical to the same cell's line in an `exp sweep` report (the
+//! serve goldens pin this).
 //!
 //! Liveness: workers never push onto the bounded queue and reply over
 //! unbounded mpsc channels, so the only blocking edges are connection
@@ -24,10 +23,10 @@
 use super::cache::{Acquire, CellCache};
 use super::protocol::ServeStats;
 use super::queue::JobQueue;
-use crate::cell::CellKey;
-use crate::emit::{cell_json, CellRow};
-use crate::generators;
-use localavg_core::algo::{registry, RunSpec};
+use crate::cell::{self, CellKey};
+use crate::emit::cell_json;
+use crate::sweep::SweepCell;
+use localavg_core::algo::RunSpec;
 use localavg_graph::Graph;
 use localavg_sim::workspace::Workspace;
 use std::collections::HashMap;
@@ -109,7 +108,9 @@ impl GraphStore {
             }
         }
         drop(slots);
-        let built = build_instance(key, master_seed);
+        let built = cell::build_instance(&key.family, key.n, master_seed)
+            .map(Arc::new)
+            .map_err(|e| e.to_string());
         let mut slots = self.slots.lock().expect("graph store poisoned");
         match &built {
             Ok(g) => {
@@ -133,19 +134,6 @@ impl GraphStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-fn build_instance(key: &CellKey, master_seed: u64) -> Result<Arc<Graph>, String> {
-    let gen =
-        generators::registry().get(&key.family).ok_or_else(|| {
-            match generators::registry().suggest(&key.family) {
-                Some(s) => format!("unknown generator `{}` — did you mean `{s}`?", key.family),
-                None => format!("unknown generator `{}`", key.family),
-            }
-        })?;
-    gen.build(key.n, key.graph_seed(master_seed))
-        .map(Arc::new)
-        .map_err(|e| format!("generator `{}` failed at n={}: {e:?}", key.family, key.n))
 }
 
 /// Everything the daemon's threads share (see the module docs).
@@ -262,9 +250,10 @@ impl Pool {
     }
 }
 
-/// Runs one cell end to end — registry lookup, param configuration,
-/// domain filter, shared instance, content-addressed seeds, verified
-/// metrics — and renders the `localavg-sweep/v1` line.
+/// Runs one cell end to end through the [`crate::cell`] path —
+/// algorithm and generator resolution, the domain rule on the family's
+/// guarantee, the shared instance, the measured run — and renders the
+/// `localavg-sweep/v1` line.
 ///
 /// This is the serve-side twin of the sweep engine's per-cell body
 /// ([`crate::sweep::run`]); the serve goldens assert the two produce
@@ -281,55 +270,27 @@ pub fn execute_cell(
     graphs: &GraphStore,
     ws: &mut Workspace,
 ) -> Result<String, String> {
-    let algo = registry()
-        .get(&key.algo)
-        .ok_or_else(|| match registry().suggest(&key.algo) {
-            Some(s) => format!("unknown algorithm `{}` — did you mean `{s}`?", key.algo),
-            None => format!("unknown algorithm `{}`", key.algo),
-        })?;
-    let kvs: Vec<(&str, &str)> = key
-        .params
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    let algo = algo.with_params(&kvs).map_err(|e| e.to_string())?;
-    let gen =
-        generators::registry().get(&key.family).ok_or_else(|| {
-            match generators::registry().suggest(&key.family) {
-                Some(s) => format!("unknown generator `{}` — did you mean `{s}`?", key.family),
-                None => format!("unknown generator `{}`", key.family),
-            }
-        })?;
-    let need = algo.problem().min_degree();
-    let have = gen.min_degree(key.n);
-    if need > have {
-        return Err(format!(
-            "`{}` needs minimum degree {need} but `{}` only guarantees {have} at n={}",
-            key.algo, key.family, key.n
-        ));
-    }
+    let algo = cell::algorithm(&key.algo, &key.params).map_err(|e| e.to_string())?;
+    let family = cell::generator(&key.family).map_err(|e| e.to_string())?;
+    cell::check_domain(
+        &*algo,
+        family.name(),
+        key.n,
+        family.min_degree(key.n),
+        || family.is_tree(),
+    )
+    .map_err(|e| e.to_string())?;
     let g = graphs.get(key, master_seed)?;
-    let spec = RunSpec::new(key.algo_seed(master_seed)).with_transcript(key.policy);
-    let run = algo.execute_in(&g, &spec, ws);
-    run.verify(&g)
-        .map_err(|e| format!("{key} produced an invalid output: {e}"))?;
-    let times = run.completion_times(&g);
-    Ok(cell_json(&CellRow {
-        algorithm: &key.algo,
-        generator: &key.family,
+    let sweep_cell = SweepCell {
+        algorithm: algo.name(),
+        generator: family.name(),
         n: key.n,
         seed: key.seed,
-        nodes: g.n(),
-        edges: g.m(),
-        min_degree: g.min_degree(),
-        max_degree: g.degrees().max().unwrap_or(0),
-        node_averaged: times.node_mean(),
-        edge_averaged: times.edge_mean(),
-        edge_averaged_one_endpoint: times.edge_one_endpoint_mean(),
-        node_worst: times.node_max(),
-        rounds: run.worst_case(),
-        peak_message_bits: run.transcript.peak_message_bits(),
-    }))
+    };
+    let spec = RunSpec::new(key.algo_seed(master_seed)).with_transcript(key.policy);
+    let measured = cell::measure(sweep_cell, &*algo, &g, &spec, ws)
+        .map_err(|e| format!("{key} produced an invalid output: {e}"))?;
+    Ok(cell_json(&measured.result.row()))
 }
 
 #[cfg(test)]
@@ -382,6 +343,13 @@ mod tests {
         let key = CellKey::new("tree/random", 32, 0, "orientation/rand");
         let err = execute_cell(&key, 0, &graphs, &mut ws).unwrap_err();
         assert!(err.contains("minimum degree"), "got: {err}");
+        // Rake-and-compress only runs on forests: a typed error naming
+        // the tree families, not a panic inside the algorithm.
+        let key = CellKey::new("regular/4", 64, 0, "mis/tree-rc");
+        let err = execute_cell(&key, 0, &graphs, &mut ws).unwrap_err();
+        assert!(err.contains("only runs on forests"), "got: {err}");
+        assert!(err.contains("tree/random"), "got: {err}");
+        assert!(graphs.is_empty(), "a rejected cell builds no instance");
     }
 
     #[test]
@@ -447,5 +415,41 @@ mod tests {
         assert_eq!(s.errors, 2);
         assert_eq!(s.executed, 0);
         assert_eq!(s.entries, 0, "failures must not be cached");
+    }
+
+    #[test]
+    fn out_of_domain_tree_cells_leave_the_worker_serving() {
+        // A tree-only algorithm on a cyclic family must come back as an
+        // error reply: a worker that died here would strand its cache
+        // reservation and every later job.
+        let p = Pool::new(1, 64, 8, 7);
+        let (tx, rx) = channel();
+        let bad = CellKey::new("regular/4", 64, 0, "mis/tree-rc");
+        let good = CellKey::new("path", 32, 0, "mis/luby");
+        for (index, key) in [&bad, &bad, &good].into_iter().enumerate() {
+            p.queue
+                .push(Job {
+                    key: key.clone(),
+                    index,
+                    reply: tx.clone(),
+                })
+                .unwrap();
+        }
+        drop(tx);
+        p.queue.close();
+        std::thread::scope(|s| {
+            s.spawn(|| p.worker_loop());
+        });
+        let mut replies: Vec<JobReply> = rx.iter().collect();
+        replies.sort_by_key(|r| r.index);
+        assert_eq!(replies.len(), 3);
+        assert!(replies[0].line.is_err() && replies[1].line.is_err());
+        assert!(replies[2].line.is_ok());
+        let s = p.stats();
+        assert_eq!(s.errors, 2);
+        assert_eq!(s.executed, 1);
+        assert_eq!(s.served, 3);
+        assert!(p.cache.get(&bad).is_none(), "failures must not be cached");
+        assert!(p.cache.get(&good).is_some());
     }
 }

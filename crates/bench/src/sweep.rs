@@ -24,11 +24,11 @@
 //! Deterministic algorithms ignore their seed, so the sweep collapses
 //! their seed axis to a single run per group.
 
-use crate::cell::{self, CellKey};
+use crate::cell::{self, CellKey, Measured};
 use crate::generators;
 use localavg_core::algo::{registry, DynAlgorithm, RunSpec};
 use localavg_core::metrics::{CompletionTimes, Distribution, RunAggregate};
-use localavg_graph::analysis::{topology_stats, TopologyStats};
+use localavg_graph::analysis::{is_forest, topology_stats, TopologyStats};
 use localavg_graph::gen::NamedGenerator;
 use localavg_graph::Graph;
 use localavg_sim::workspace::Workspace;
@@ -170,14 +170,17 @@ impl SweepSpec {
     }
 
     /// Expands the grid into cells in canonical order (generator, size,
-    /// algorithm, seed), applying the static domain filter: an algorithm
-    /// is skipped on families whose guaranteed minimum degree is below
-    /// its problem's requirement.
+    /// algorithm, seed), applying the static domain filter
+    /// ([`cell::check_domain`] on each family's guarantee): an algorithm
+    /// is skipped where its problem needs a larger minimum degree, or
+    /// where it only runs on forests and the family is not a tree family.
     ///
     /// # Errors
     ///
     /// Fails on unknown algorithm or generator keys (with a closest-match
-    /// suggestion for algorithms) and on empty grid axes.
+    /// suggestion), rejected parameter overrides, empty grid axes, and
+    /// with [`SweepError::NotATree`] when the forest restriction alone
+    /// leaves the grid empty.
     pub fn cells(&self) -> Result<Vec<SweepCell>, SweepError> {
         self.cells_with(None)
     }
@@ -191,6 +194,15 @@ impl SweepSpec {
     ///
     /// Same conditions as [`SweepSpec::cells`].
     pub fn cells_with(&self, file: Option<&FileGraph>) -> Result<Vec<SweepCell>, SweepError> {
+        self.expand(file).map(|(cells, _)| cells)
+    }
+
+    /// [`SweepSpec::cells_with`] plus the configured algorithm table the
+    /// cells run with (shared with `exp bench-engine`).
+    pub(crate) fn expand(
+        &self,
+        file: Option<&FileGraph>,
+    ) -> Result<(Vec<SweepCell>, Algorithms), SweepError> {
         if self.algorithms.is_empty()
             || self.generators.is_empty()
             || self.sizes.is_empty()
@@ -198,79 +210,57 @@ impl SweepSpec {
         {
             return Err(SweepError::EmptyAxis);
         }
-        let mut algos: Vec<&'static dyn DynAlgorithm> = Vec::new();
-        for name in &self.algorithms {
-            match registry().get(name) {
-                Some(a) => algos.push(a),
-                None => {
-                    return Err(SweepError::UnknownAlgorithm {
-                        name: name.clone(),
-                        suggestion: registry().suggest(name).map(str::to_string),
-                    })
-                }
-            }
-        }
+        let algos = configure(&self.algorithms, &self.params)?;
         enum Gen<'a> {
             Registry(&'static NamedGenerator),
             File(&'a FileGraph),
         }
-        let mut gens: Vec<Gen<'_>> = Vec::new();
-        for name in &self.generators {
-            if let Some(f) = file.filter(|f| f.family == name.as_str()) {
-                gens.push(Gen::File(f));
-                continue;
-            }
-            match generators::registry().get(name) {
-                Some(g) => gens.push(Gen::Registry(g)),
-                None => {
-                    return Err(SweepError::UnknownGenerator {
-                        name: name.clone(),
-                        suggestion: generators::registry().suggest(name).map(str::to_string),
-                    })
-                }
-            }
-        }
+        let gens = self
+            .generators
+            .iter()
+            .map(|name| match file.filter(|f| f.family == name.as_str()) {
+                Some(f) => Ok(Gen::File(f)),
+                None => cell::generator(name).map(Gen::Registry),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut cells = Vec::new();
-        let mut tree_skip: Option<(&'static str, String)> = None;
+        let mut tree_skip = None;
         for g in &gens {
             for &n in &self.sizes {
-                let (gname, min_degree, is_tree) = match g {
-                    Gen::Registry(g) => (g.name(), g.min_degree(n), g.is_tree()),
-                    Gen::File(f) => (
-                        f.family,
-                        f.graph.min_degree(),
-                        localavg_graph::analysis::is_forest(&f.graph),
-                    ),
+                // Registry families pass their guarantee, the loaded
+                // instance its realized values.
+                let (gname, min_degree) = match g {
+                    Gen::Registry(g) => (g.name(), g.min_degree(n)),
+                    Gen::File(f) => (f.family, f.graph.min_degree()),
                 };
-                for a in &algos {
-                    if a.problem().min_degree() > min_degree {
-                        continue;
-                    }
-                    if a.requires_tree() && !is_tree {
-                        tree_skip.get_or_insert_with(|| (a.name(), gname.to_string()));
-                        continue;
+                for name in &self.algorithms {
+                    let a = &algos[name.as_str()];
+                    let is_tree = || match g {
+                        Gen::Registry(g) => g.is_tree(),
+                        Gen::File(f) => is_forest(&f.graph),
+                    };
+                    match cell::check_domain(&**a, gname, n, min_degree, is_tree) {
+                        Ok(()) => {}
+                        Err(e @ SweepError::NotATree { .. }) => {
+                            tree_skip.get_or_insert(e);
+                            continue;
+                        }
+                        Err(_) => continue,
                     }
                     let seeds = if a.deterministic() { 1 } else { self.seeds };
-                    for seed in 0..seeds {
-                        cells.push(SweepCell {
-                            algorithm: a.name(),
-                            generator: gname,
-                            n,
-                            seed,
-                        });
-                    }
+                    cells.extend((0..seeds).map(|seed| SweepCell {
+                        algorithm: a.name(),
+                        generator: gname,
+                        n,
+                        seed,
+                    }));
                 }
             }
         }
-        if cells.is_empty() {
-            if let Some((algorithm, generator)) = tree_skip {
-                return Err(SweepError::NotATree {
-                    algorithm,
-                    generator,
-                });
-            }
+        match tree_skip {
+            Some(e) if cells.is_empty() => Err(e),
+            _ => Ok((cells, algos)),
         }
-        Ok(cells)
     }
 }
 
@@ -332,6 +322,20 @@ pub enum SweepError {
         /// Human-readable rejection (from the algorithm's validation).
         message: String,
     },
+    /// An algorithm's problem needs a larger minimum degree than the
+    /// family guarantees (or a loaded graph has).
+    MinDegree {
+        /// The algorithm.
+        algorithm: &'static str,
+        /// The family it was paired with.
+        generator: String,
+        /// Target size.
+        n: usize,
+        /// Minimum degree the algorithm's problem needs.
+        need: usize,
+        /// Minimum degree the instance offers.
+        have: usize,
+    },
     /// No selected (family, algorithm) pair is compatible: every chosen
     /// algorithm's domain requirement exceeds every chosen family's
     /// minimum-degree guarantee (`exp fuzz` sampling).
@@ -371,6 +375,17 @@ impl fmt::Display for SweepError {
                 message,
             } => write!(f, "generator `{generator}` failed at n={n}: {message}"),
             SweepError::Param { message } => write!(f, "invalid --param: {message}"),
+            SweepError::MinDegree {
+                algorithm,
+                generator,
+                n,
+                need,
+                have,
+            } => write!(
+                f,
+                "`{algorithm}` needs minimum degree {need} but `{generator}` only offers \
+                 {have} at n={n}"
+            ),
             SweepError::NoCompatibleCells => f.write_str(
                 "no compatible (generator, algorithm) cells: every selected algorithm's \
                  domain requirement (min degree) exceeds every selected family's guarantee",
@@ -508,71 +523,46 @@ pub struct SweepReport {
     pub groups: Vec<GroupResult>,
 }
 
-/// The seed a `(generator, n)` instance is built from: forked from the
-/// master seed by generator key and target size only, so every algorithm
-/// and every seed index of a group sees the same topology. Public so
-/// tests and `exp bench-engine` can rebuild the exact instances a sweep
-/// measured. Delegates to [`crate::cell::graph_seed`] — the one seeding
-/// code path every front end (sweep, bench, fuzz, serve) shares.
-pub fn graph_seed(master: u64, generator: &str, n: usize) -> u64 {
-    cell::graph_seed(master, generator, n)
-}
+/// [`crate::cell::graph_seed`], re-exported only because `perfbench/`
+/// calls it by this path.
+pub use crate::cell::graph_seed;
 
-/// The seed a cell's algorithm run draws from: additionally forked by
-/// algorithm key and seed index. Public for the same reason as
-/// [`graph_seed`]: replaying a sweep cell outside the sweep engine.
+/// [`crate::cell::algo_seed`] of a sweep cell, kept only because
+/// `perfbench/` calls it.
 pub fn algo_seed(master: u64, cell: &SweepCell) -> u64 {
     cell::algo_seed(master, cell.generator, cell.n, cell.algorithm, cell.seed)
 }
 
-/// Builds the configured algorithm table for a spec: every algorithm
-/// key mapped to a `DynAlgorithm` with the spec's [`ParamOverride`]s
-/// applied (defaults when none name it).
+/// Algorithm key → configured algorithm, as [`configure`] builds it.
+pub(crate) type Algorithms = BTreeMap<&'static str, Box<dyn DynAlgorithm>>;
+
+/// The override plumbing of [`SweepSpec::cells_with`]: maps
+/// every algorithm key to a `DynAlgorithm` carrying its overrides
+/// (defaults when none name it).
 ///
 /// # Errors
 ///
-/// Fails on overrides naming algorithms outside the spec and on
-/// key/value pairs the algorithm's validation rejects.
-fn configured_algorithms(
-    spec: &SweepSpec,
-) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>, SweepError> {
-    configure(&spec.algorithms, &spec.params)
-}
-
-/// Shared override plumbing for the sweep and `exp bench-engine`: maps
-/// every algorithm key to a `DynAlgorithm` carrying its overrides.
-pub(crate) fn configure(
-    algorithms: &[String],
-    params: &[ParamOverride],
-) -> Result<BTreeMap<String, Box<dyn DynAlgorithm>>, SweepError> {
-    for p in params {
-        if !algorithms.contains(&p.algorithm) {
-            return Err(SweepError::Param {
-                message: format!(
-                    "`{}:{}={}` names an algorithm that is not part of this sweep",
-                    p.algorithm, p.key, p.value
-                ),
-            });
-        }
-    }
-    let mut algos: BTreeMap<String, Box<dyn DynAlgorithm>> = BTreeMap::new();
+/// Fails on unknown algorithm keys, on key/value pairs the algorithm's
+/// validation rejects, and on overrides naming algorithms outside the
+/// spec.
+fn configure(algorithms: &[String], params: &[ParamOverride]) -> Result<Algorithms, SweepError> {
+    let mut algos = Algorithms::new();
     for name in algorithms {
-        let kvs: Vec<(&str, &str)> = params
+        let kvs: Vec<(String, String)> = params
             .iter()
             .filter(|p| &p.algorithm == name)
-            .map(|p| (p.key.as_str(), p.value.as_str()))
+            .map(|p| (p.key.clone(), p.value.clone()))
             .collect();
-        let algo = registry()
-            .get(name)
-            .ok_or_else(|| SweepError::UnknownAlgorithm {
-                name: name.clone(),
-                suggestion: registry().suggest(name).map(str::to_string),
-            })?
-            .with_params(&kvs)
-            .map_err(|e| SweepError::Param {
-                message: e.to_string(),
-            })?;
-        algos.insert(name.clone(), algo);
+        let algo = cell::algorithm(name, &kvs)?;
+        algos.insert(algo.name(), algo);
+    }
+    if let Some(p) = params.iter().find(|p| !algorithms.contains(&p.algorithm)) {
+        return Err(SweepError::Param {
+            message: format!(
+                "`{}:{}={}` names an algorithm that is not part of this sweep",
+                p.algorithm, p.key, p.value
+            ),
+        });
     }
     Ok(algos)
 }
@@ -614,8 +604,7 @@ pub fn run_with_file(
     threads: usize,
     file: Option<&FileGraph>,
 ) -> Result<SweepReport, SweepError> {
-    let cells = spec.cells_with(file)?;
-    let algos = configured_algorithms(spec)?;
+    let (cells, algos) = spec.expand(file)?;
     // Build every (generator, n) instance once, up front and sequentially
     // — deterministic, and workers then share read-only graphs.
     let mut graphs: BTreeMap<(&'static str, usize), Graph> = BTreeMap::new();
@@ -624,15 +613,7 @@ pub fn run_with_file(
         {
             continue;
         }
-        let g = generators::registry()
-            .get(c.generator)
-            .expect("cells() validated the key")
-            .build(c.n, graph_seed(spec.master_seed, c.generator, c.n))
-            .map_err(|e| SweepError::GraphBuild {
-                generator: c.generator.to_string(),
-                n: c.n,
-                message: format!("{e:?}"),
-            })?;
+        let g = cell::build_instance(c.generator, c.n, spec.master_seed)?;
         graphs.insert((c.generator, c.n), g);
     }
     // The file-backed instance never clones: cells borrow it directly.
@@ -643,15 +624,8 @@ pub fn run_with_file(
         }
     };
 
-    struct Outcome {
-        result: CellResult,
-        times: CompletionTimes,
-        /// Per-node bits sent, `None` when the run was not audited.
-        node_bits_sent: Option<Vec<u64>>,
-    }
-
     let threads = threads.clamp(1, cells.len().max(1));
-    let slots: Vec<Mutex<Option<Outcome>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Measured>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
@@ -673,44 +647,27 @@ pub fn run_with_file(
                         ws.clear();
                     }
                     last_algorithm = Some(cell.algorithm);
-                    let g = instance(cell.generator, cell.n);
-                    let algo = algos.get(cell.algorithm).expect("validated key");
-                    let run = algo.execute_in(
-                        g,
-                        &RunSpec::new(algo_seed(spec.master_seed, &cell)),
-                        &mut ws,
+                    let seed = cell::algo_seed(
+                        spec.master_seed,
+                        cell.generator,
+                        cell.n,
+                        cell.algorithm,
+                        cell.seed,
                     );
-                    run.verify(g).unwrap_or_else(|e| {
-                        panic!("{} produced an invalid output: {e}", cell.key())
-                    });
-                    let times = run.completion_times(g);
-                    let result = CellResult {
+                    let measured = cell::measure(
                         cell,
-                        nodes: g.n(),
-                        edges: g.m(),
-                        min_degree: g.min_degree(),
-                        max_degree: g.degrees().max().unwrap_or(0),
-                        node_averaged: times.node_mean(),
-                        edge_averaged: times.edge_mean(),
-                        edge_averaged_one_endpoint: times.edge_one_endpoint_mean(),
-                        node_worst: times.node_max(),
-                        rounds: run.worst_case(),
-                        peak_message_bits: run.transcript.peak_message_bits(),
-                    };
-                    let node_bits_sent = run
-                        .transcript
-                        .audited()
-                        .then(|| run.transcript.node_bits_sent.clone());
-                    *slots[i].lock().expect("result slot") = Some(Outcome {
-                        result,
-                        times,
-                        node_bits_sent,
-                    });
+                        &*algos[cell.algorithm],
+                        instance(cell.generator, cell.n),
+                        &RunSpec::new(seed),
+                        &mut ws,
+                    )
+                    .unwrap_or_else(|e| panic!("{} produced an invalid output: {e}", cell.key()));
+                    *slots[i].lock().expect("result slot") = Some(measured);
                 }
             });
         }
     });
-    let outcomes: Vec<Outcome> = slots
+    let outcomes: Vec<Measured> = slots
         .into_iter()
         .map(|m| {
             m.into_inner()
